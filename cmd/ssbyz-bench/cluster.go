@@ -218,7 +218,7 @@ func runClusterInProcess(o clusterOpts, pp protocol.Params) error {
 	runAgreement := func(i int) (check.LiveInitiation, error) {
 		g := protocol.NodeID(i % pp.N)
 		v := protocol.Value(fmt.Sprintf("v%d", i))
-		t0, err := c.Initiate(g, v, 5*time.Second)
+		t0, _, err := c.Initiate(g, 0, v)
 		if err != nil {
 			return check.LiveInitiation{}, fmt.Errorf("agreement %d: %w", i, err)
 		}

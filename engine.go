@@ -401,7 +401,7 @@ func (e *Engine) initiateLive(g NodeID, slot int, v Value) error {
 	if e.cluster == nil {
 		return fmt.Errorf("%w: engine not started", ErrBadParams)
 	}
-	t0, wire, err := e.cluster.InitiateIn(g, slot, v, 5*time.Second)
+	t0, wire, err := e.cluster.Initiate(g, slot, v)
 	if err != nil {
 		return err
 	}

@@ -157,7 +157,7 @@ func runAdvCell(class advClass, seed int64, virtual, legacy bool) advCell {
 	for a := 0; a < agreements; a++ {
 		g := protocol.NodeID(2 * a) // 0, then 2 — both correct (attacker is 1)
 		v := protocol.Value(fmt.Sprintf("v3-%s-%d", class.label, a))
-		t0, err := cl.Initiate(g, v, 5*time.Second)
+		t0, _, err := cl.Initiate(g, 0, v)
 		if err != nil {
 			return fail("initiate g=%d: %v", g, err)
 		}
@@ -240,7 +240,7 @@ func runRecoveryCell(severityPermille int, seed int64, virtual, legacy bool) rec
 		budget += 5 * time.Second
 	}
 	runAgreement := func(g protocol.NodeID, v protocol.Value) (simtime.Real, bool) {
-		t0, err := cl.Initiate(g, v, 5*time.Second)
+		t0, _, err := cl.Initiate(g, 0, v)
 		if err != nil {
 			fail("initiate g=%d: %v", g, err)
 			return 0, false

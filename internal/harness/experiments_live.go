@@ -86,7 +86,7 @@ func runLiveCell(n int, transport string, conds []simnet.Condition,
 
 	agrStart := time.Now()
 	const value = protocol.Value("l1")
-	t0, err := cl.Initiate(0, value, 5*time.Second)
+	t0, _, err := cl.Initiate(0, 0, value)
 	if err != nil {
 		return fail("initiate: %v", err)
 	}

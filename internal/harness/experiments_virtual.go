@@ -61,7 +61,7 @@ func runVirtualCell(n int, transport string, conds []simnet.Condition,
 	defer cl.Stop()
 
 	const value = protocol.Value("v1")
-	t0, err := cl.Initiate(0, value, time.Second)
+	t0, _, err := cl.Initiate(0, 0, value)
 	if err != nil {
 		return fail("initiate: %v", err)
 	}

@@ -58,7 +58,7 @@ func runAttackAgreement(t *testing.T, c *Cluster, g protocol.NodeID, v protocol.
 	t.Helper()
 	pp := c.Params()
 	budget := time.Duration(pp.DeltaAgr()+20*pp.D) * c.Tick()
-	t0, err := c.Initiate(g, v, time.Second)
+	t0, _, err := c.Initiate(g, 0, v)
 	if err != nil {
 		t.Fatalf("initiate g=%d: %v", g, err)
 	}

@@ -140,7 +140,7 @@ func runWireModeCell(t *testing.T, legacy bool, seed int64) (Stats, BatchStats, 
 	}
 	t.Cleanup(c.Stop)
 	budget := time.Duration(pp.DeltaAgr()+20*pp.D) * c.Tick()
-	if _, err := c.Initiate(0, "wire-diff", time.Second); err != nil {
+	if _, _, err := c.Initiate(0, 0, "wire-diff"); err != nil {
 		t.Fatalf("initiate(legacy=%v): %v", legacy, err)
 	}
 	if done := c.AwaitDecisions(0, "wire-diff", budget); done != len(c.Correct()) {
@@ -204,7 +204,7 @@ func TestCapturedBatchContainersExpand(t *testing.T) {
 	}
 	t.Cleanup(c.Stop)
 	budget := time.Duration(pp.DeltaAgr()+20*pp.D) * c.Tick()
-	if _, err := c.Initiate(0, "expand", time.Second); err != nil {
+	if _, _, err := c.Initiate(0, 0, "expand"); err != nil {
 		t.Fatal(err)
 	}
 	if done := c.AwaitDecisions(0, "expand", budget); done != pp.N {
@@ -259,11 +259,12 @@ func TestLegacyWireFlagLiveCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
-	t0 := initiateTick(t, c, 0, "legacy-live")
+	if _, _, err := c.Initiate(0, 0, "legacy-live"); err != nil {
+		t.Fatalf("Initiate: %v", err)
+	}
 	if done := c.AwaitDecisions(0, "legacy-live", 10*time.Second); done != pp.N {
 		t.Fatalf("decided %d/%d (stats %+v)", done, pp.N, c.Stats())
 	}
-	_ = t0
 	if bs := c.BatchStats(); bs.BatchesSent != 0 || bs.BatchedFrames != 0 {
 		t.Fatalf("legacy cluster sent containers: %+v", bs)
 	}

@@ -302,111 +302,86 @@ func (c *Cluster) BatchStats() BatchStats {
 	return total
 }
 
-// Initiate asks correct node g to initiate agreement on v inside its
-// event loop, waits for the resulting EvInitiate trace event, and
-// returns its instant — the t0 the Validity window [t0−d, t0+4d] is
-// anchored at. Only an event recorded AFTER this call counts: a General
-// legally re-initiating the same value (Δv apart) must not match the
-// previous agreement's initiation. Errors reflect the sending-validity
-// refusals (IG1–IG3), a stopped cluster, or the timeout.
-func (c *Cluster) Initiate(g protocol.NodeID, v protocol.Value, timeout time.Duration) (simtime.Real, error) {
-	t0, _, err := c.InitiateIn(g, 0, v, timeout)
-	return t0, err
-}
-
-// InitiateIn is Initiate for a concurrent-invocation slot (footnote 9):
-// node g starts agreement on v in the given slot and the returned wire
-// value carries the slot namespace the agreement runs under ("s<slot>|v"
-// on indexed nodes, v itself on single-session nodes, which only accept
-// slot 0). t0 is the traced initiation instant, as for Initiate.
-func (c *Cluster) InitiateIn(g protocol.NodeID, slot int, v protocol.Value,
-	timeout time.Duration) (simtime.Real, protocol.Value, error) {
-	type accepted struct {
-		wire   protocol.Value
-		before int
-		err    error
+// Initiate asks correct node g to start agreement on v in the given
+// concurrent-invocation slot (footnote 9), in one round trip into its
+// event loop. It returns the traced EvInitiate instant — the t0 the
+// Validity window [t0−d, t0+4d] is anchored at — and the wire value the
+// agreement runs under ("s<slot>|v" on indexed nodes, v itself on
+// single-session nodes, which accept slot 0 only). The state machine
+// traces its initiation synchronously, so the event is read from a
+// recorder cursor taken inside the same event-loop call: a General
+// legally re-initiating the same value (Δv apart) cannot match the
+// previous agreement's event. Errors reflect the sending-validity
+// refusals (IG1–IG3) or a stopped node.
+func (c *Cluster) Initiate(g protocol.NodeID, slot int, v protocol.Value) (simtime.Real, protocol.Value, error) {
+	type started struct {
+		t0   simtime.Real
+		wire protocol.Value
+		err  error
 	}
-	ch := make(chan accepted, 1)
+	ch := make(chan started, 1)
 	c.DoWait(g, func(n protocol.Node) {
+		var s started
+		cursor := c.rec.KindLen(protocol.EvInitiate)
 		switch m := n.(type) {
 		case sim.SlotInitiator:
-			wire := protocol.SlotValue(slot, v)
-			// Count inside the event loop, before the initiation records
-			// its trace event, so a legal re-initiation of the same value
-			// (Δv apart) cannot match the previous agreement's event.
-			before := c.countInitiates(g, wire)
-			ch <- accepted{wire, before, m.InitiateAgreement(slot, v)}
+			s.wire, s.err = protocol.SlotValue(slot, v), m.InitiateAgreement(slot, v)
 		case sim.Initiator:
-			if slot != 0 {
-				ch <- accepted{err: fmt.Errorf("nettrans: node %d has no concurrent slots", g)}
-				return
+			s.wire, s.err = v, fmt.Errorf("nettrans: node %d has no concurrent slots", g)
+			if slot == 0 {
+				s.err = m.InitiateAgreement(v)
 			}
-			before := c.countInitiates(g, v)
-			ch <- accepted{v, before, m.InitiateAgreement(v)}
 		default:
-			ch <- accepted{err: fmt.Errorf("nettrans: node %d cannot initiate agreements", g)}
+			s.err = fmt.Errorf("nettrans: node %d cannot initiate agreements", g)
 		}
+		if s.err == nil {
+			s.err = fmt.Errorf("nettrans: initiation of %q by node %d was accepted but never traced", s.wire, g)
+			c.rec.ForEachKindFrom(protocol.EvInitiate, cursor, func(ev protocol.TraceEvent) {
+				if ev.Node == g && ev.M == s.wire {
+					s.t0, s.err = ev.RT, nil
+				}
+			})
+		}
+		ch <- s
 	})
-	var acc accepted
 	select {
-	case acc = <-ch:
-		if acc.err != nil {
-			return 0, acc.wire, acc.err
-		}
+	case s := <-ch:
+		return s.t0, s.wire, s.err
 	default:
 		return 0, "", fmt.Errorf("nettrans: cluster stopped")
 	}
-	deadline := time.Now().Add(timeout)
-	for {
-		if evs := c.initiates(g, acc.wire); len(evs) > acc.before {
-			return evs[len(evs)-1].RT, acc.wire, nil
-		}
-		if time.Now().After(deadline) {
-			return 0, acc.wire, fmt.Errorf("nettrans: initiation of %q by node %d was accepted but never traced", acc.wire, g)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// initiates returns the EvInitiate events of (g, v) in arrival order.
-func (c *Cluster) initiates(g protocol.NodeID, v protocol.Value) []protocol.TraceEvent {
-	var out []protocol.TraceEvent
-	c.rec.ForEachKind(func(ev protocol.TraceEvent) {
-		if ev.Node == g && ev.M == v {
-			out = append(out, ev)
-		}
-	}, protocol.EvInitiate)
-	return out
-}
-
-func (c *Cluster) countInitiates(g protocol.NodeID, v protocol.Value) int {
-	return len(c.initiates(g, v))
 }
 
 // AwaitDecisions waits until every correct node has returned a decision
 // for General g with value want, or the timeout passes; it returns how
-// many decided. On the wall-clock path it polls; on the virtual path it
-// steps the fake clock timer by timer, so the timeout is a virtual-time
-// budget (timeout/Tick ticks) and deterministic.
+// many decided. On the wall-clock path it wakes on each traced decide
+// (Recorder.Notify); on the virtual path it steps the fake clock timer by
+// timer, so the timeout is a virtual-time budget (timeout/Tick ticks)
+// and deterministic. Either way the cheap recorder precheck runs first
+// and the event-loop query (countDecided) only once the trace says all
+// decided.
 func (c *Cluster) AwaitDecisions(g protocol.NodeID, want protocol.Value, timeout time.Duration) int {
 	needed := len(c.Correct())
+	allDecided := func() bool {
+		return c.countDecideEvents(g, want) >= needed && c.countDecided(g, want) == needed
+	}
 	if c.fake != nil {
 		horizon := simtime.Duration(c.NowTicks()) + simtime.Duration(timeout/c.cfg.Tick)
-		c.StepUntil(func() bool {
-			// Cheap recorder precheck first; the event-loop query
-			// (countDecided) only runs once the trace says all decided.
-			return c.countDecideEvents(g, want) >= needed &&
-				c.countDecided(g, want) == needed
-		}, horizon)
+		c.StepUntil(allDecided, horizon)
 		return c.countDecided(g, want)
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		done := c.countDecided(g, want)
-		if done == needed || time.Now().After(deadline) {
-			return done
+		decided := c.rec.Notify(protocol.EvDecide)
+		if allDecided() {
+			return needed
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-decided:
+		case <-deadline.C:
+			return c.countDecided(g, want)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func TestVirtualRollReplayRejected(t *testing.T) {
 	defer c.Stop()
 	budget := time.Duration(pp.DeltaStb()) * c.Tick()
 
-	if _, err := c.Initiate(0, "pre-roll", budget); err != nil {
+	if _, _, err := c.Initiate(0, 0, "pre-roll"); err != nil {
 		t.Fatalf("Initiate: %v", err)
 	}
 	if done := c.AwaitDecisions(0, "pre-roll", budget); done != 7 {
@@ -93,7 +93,7 @@ func TestVirtualRollReplayRejected(t *testing.T) {
 	// The replacement converges like a node recovering from a transient:
 	// a fresh agreement must reach all 7 correct slots, rolled one
 	// included, within the Δstb budget.
-	if _, err := c.Initiate(1, "post-roll", budget); err != nil {
+	if _, _, err := c.Initiate(1, 0, "post-roll"); err != nil {
 		t.Fatalf("post-roll Initiate: %v", err)
 	}
 	if done := c.AwaitDecisions(1, "post-roll", budget); done != 7 {
@@ -123,7 +123,7 @@ func TestAbsentSlotScaleUp(t *testing.T) {
 	if len(c.Correct()) != 6 || c.Running(6) {
 		t.Fatalf("absent slot 6 should not be running: correct=%v", c.Correct())
 	}
-	if _, err := c.Initiate(0, "six", budget); err != nil {
+	if _, _, err := c.Initiate(0, 0, "six"); err != nil {
 		t.Fatalf("Initiate: %v", err)
 	}
 	if done := c.AwaitDecisions(0, "six", budget); done != 6 {
@@ -136,7 +136,7 @@ func TestAbsentSlotScaleUp(t *testing.T) {
 	if len(c.Correct()) != 7 || !c.Running(6) {
 		t.Fatalf("slot 6 should be running after scale-up: correct=%v", c.Correct())
 	}
-	if _, err := c.Initiate(1, "seven", budget); err != nil {
+	if _, _, err := c.Initiate(1, 0, "seven"); err != nil {
 		t.Fatalf("Initiate: %v", err)
 	}
 	if done := c.AwaitDecisions(1, "seven", budget); done != 7 {
@@ -162,14 +162,14 @@ func TestRollCampaignDeterministic(t *testing.T) {
 		}
 		defer c.Stop()
 		budget := time.Duration(pp.DeltaStb()) * c.Tick()
-		if _, err := c.Initiate(0, "a", budget); err != nil {
+		if _, _, err := c.Initiate(0, 0, "a"); err != nil {
 			t.Fatalf("Initiate: %v", err)
 		}
 		c.AwaitDecisions(0, "a", budget)
 		if _, err := c.RollNode(2); err != nil {
 			t.Fatalf("RollNode: %v", err)
 		}
-		if _, err := c.Initiate(1, "b", budget); err != nil {
+		if _, _, err := c.Initiate(1, 0, "b"); err != nil {
 			t.Fatalf("Initiate: %v", err)
 		}
 		if done := c.AwaitDecisions(1, "b", budget); done != 4 {
@@ -255,7 +255,7 @@ func TestWallRollEpochDrops(t *testing.T) {
 	}
 	defer c.Stop()
 
-	if _, err := c.Initiate(0, "pre-roll", 5*time.Second); err != nil {
+	if _, _, err := c.Initiate(0, 0, "pre-roll"); err != nil {
 		t.Fatalf("Initiate: %v", err)
 	}
 	if done := c.AwaitDecisions(0, "pre-roll", 5*time.Second); done != 4 {
@@ -293,7 +293,7 @@ func TestWallRollEpochDrops(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	if _, err := c.Initiate(1, "post-roll", 5*time.Second); err != nil {
+	if _, _, err := c.Initiate(1, 0, "post-roll"); err != nil {
 		t.Fatalf("post-roll Initiate: %v", err)
 	}
 	if done := c.AwaitDecisions(1, "post-roll", 10*time.Second); done != 4 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ssbyz/internal/check"
+	"ssbyz/internal/clock"
 	"ssbyz/internal/core"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simnet"
@@ -23,30 +24,6 @@ func liveParams(n int) protocol.Params {
 	return pp
 }
 
-// initiateTick asks node g to initiate v inside its event loop and
-// returns the EvInitiate trace instant as the agreement's t0 (polling the
-// recorder, since the initiation runs asynchronously).
-func initiateTick(t *testing.T, c *Cluster, g protocol.NodeID, v protocol.Value) simtime.Real {
-	t.Helper()
-	c.Do(g, func(n protocol.Node) {
-		if err := n.(*core.Node).InitiateAgreement(v); err != nil {
-			t.Errorf("InitiateAgreement: %v", err)
-		}
-	})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		for _, ev := range c.Recorder().ByKind(protocol.EvInitiate) {
-			if ev.Node == g && ev.M == v {
-				return ev.RT
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("initiation never recorded")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // runAgreement runs one agreement on a fresh cluster of the given
 // transport and feeds the collected trace through the full property
 // battery: the round trip the subsystem exists for.
@@ -61,7 +38,10 @@ func runAgreement(t *testing.T, transport string, n int, conditions []simnet.Con
 		t.Fatalf("NewCluster: %v", err)
 	}
 	t.Cleanup(c.Stop)
-	t0 := initiateTick(t, c, 0, "live-v")
+	t0, _, err := c.Initiate(0, 0, "live-v")
+	if err != nil {
+		t.Fatalf("Initiate: %v", err)
+	}
 	if done := c.AwaitDecisions(0, "live-v", 10*time.Second); done != len(c.correct) {
 		t.Fatalf("only %d/%d correct nodes decided (stats %+v)", done, len(c.correct), c.Stats())
 	}
@@ -130,20 +110,20 @@ func TestChaosConditionsAgainstLiveSockets(t *testing.T) {
 // TestInitiateSameValueTwiceGetsFreshT0 is the regression test for the
 // Validity-anchor bug: a General legally re-initiating the SAME value
 // (Δv apart, per IG2) must get the second initiation's EvInitiate
-// instant as t0, not a stale match on the first one's.
+// instant as t0, not a stale match on the first one's. It runs on the
+// virtual clock: Δv is waited out by an Advance, not by wall time.
 func TestInitiateSameValueTwiceGetsFreshT0(t *testing.T) {
-	if testing.Short() {
-		t.Skip("waits out Δv of wall time; skipped in -short")
-	}
 	pp := protocol.DefaultParams(4)
-	pp.D = 50 // d = 5ms keeps Δv = 15d + 2Δrmv ≈ 450ms of wall time
-	c, err := NewCluster(ClusterConfig{Params: pp})
+	pp.D = 50
+	tick := 100 * time.Microsecond
+	clk := clock.NewFake(time.Time{})
+	c, err := NewCluster(ClusterConfig{Params: pp, Tick: tick, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
 	const v = protocol.Value("same")
-	t0a, err := c.Initiate(0, v, 5*time.Second)
+	t0a, _, err := c.Initiate(0, 0, v)
 	if err != nil {
 		t.Fatalf("first Initiate: %v", err)
 	}
@@ -151,8 +131,8 @@ func TestInitiateSameValueTwiceGetsFreshT0(t *testing.T) {
 		t.Fatalf("first agreement: %d/%d decided", done, pp.N)
 	}
 	// Wait out the same-value spacing IG2 demands, plus margin.
-	time.Sleep(time.Duration(pp.DeltaV()+4*pp.D) * 100 * time.Microsecond)
-	t0b, err := c.Initiate(0, v, 5*time.Second)
+	clk.Advance(time.Duration(pp.DeltaV()+4*pp.D) * tick)
+	t0b, _, err := c.Initiate(0, 0, v)
 	if err != nil {
 		t.Fatalf("second Initiate: %v", err)
 	}

@@ -44,7 +44,7 @@ func TestVirtualAcceleratedSoak(t *testing.T) {
 	// Churn: a run of agreements from rotating Generals.
 	for g := protocol.NodeID(0); g < 3; g++ {
 		v := protocol.Value(fmt.Sprintf("churn-%d", g))
-		if _, err := c.Initiate(g, v, time.Second); err != nil {
+		if _, _, err := c.Initiate(g, 0, v); err != nil {
 			t.Fatalf("churn initiate g=%d: %v", g, err)
 		}
 		if done := c.AwaitDecisions(g, v, budget); done != 7 {
@@ -95,7 +95,7 @@ func TestVirtualAcceleratedSoak(t *testing.T) {
 	// ...and a fresh agreement must run cleanly, including on the
 	// previously corrupted nodes.
 	suffixStart := c.NowTicks()
-	t0, err := c.Initiate(5, "post-stab", time.Second)
+	t0, _, err := c.Initiate(5, 0, "post-stab")
 	if err != nil {
 		t.Fatalf("post-stabilization initiate: %v", err)
 	}

@@ -44,7 +44,7 @@ func goldenRun(t *testing.T, seed int64) (traceBlob, wireBlob []byte, decided, v
 	}
 	defer c.Stop()
 
-	t0, err := c.Initiate(0, "golden", time.Second)
+	t0, _, err := c.Initiate(0, 0, "golden")
 	if err != nil {
 		t.Fatalf("Initiate: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestVirtualTCPAndChaos(t *testing.T) {
 			t.Fatalf("NewCluster: %v", err)
 		}
 		defer c.Stop()
-		if _, err := c.Initiate(0, "tcp-v", time.Second); err != nil {
+		if _, _, err := c.Initiate(0, 0, "tcp-v"); err != nil {
 			t.Fatalf("Initiate: %v", err)
 		}
 		budget := time.Duration(pp.DeltaAgr()+20*pp.D) * c.Tick()
@@ -205,7 +205,7 @@ func TestVirtualTCPAndChaos(t *testing.T) {
 			t.Fatalf("NewCluster: %v", err)
 		}
 		defer c.Stop()
-		if _, err := c.Initiate(0, "crash-v", time.Second); err != nil {
+		if _, _, err := c.Initiate(0, 0, "crash-v"); err != nil {
 			t.Fatalf("Initiate: %v", err)
 		}
 		budget := time.Duration(pp.DeltaAgr()+20*pp.D) * c.Tick()

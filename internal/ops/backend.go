@@ -6,7 +6,7 @@ import (
 	"ssbyz/internal/core"
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
-	"ssbyz/internal/sim"
+	"ssbyz/internal/service"
 	"ssbyz/internal/simtime"
 	"ssbyz/internal/transient"
 )
@@ -36,18 +36,7 @@ func (b *NetBackend) BumpPeerEpoch(peer protocol.NodeID, incarnation uint64) err
 func (b *NetBackend) Initiate(slot int, v protocol.Value) error {
 	var err error
 	b.NN.DoWait(func(n protocol.Node) {
-		switch m := n.(type) {
-		case sim.SlotInitiator:
-			err = m.InitiateAgreement(slot, v)
-		case sim.Initiator:
-			if slot != 0 {
-				err = fmt.Errorf("ops: node %d has no concurrent slots", b.NN.ID())
-				return
-			}
-			err = m.InitiateAgreement(v)
-		default:
-			err = fmt.Errorf("ops: node %d cannot initiate agreements", b.NN.ID())
-		}
+		_, _, err = service.InitiateFirst(n, []int{slot}, v)
 	})
 	return err
 }

@@ -91,20 +91,11 @@ func (b *clusterBackend) BumpPeerEpoch(peer protocol.NodeID, inc uint64) error {
 	return b.c.BumpPeerEpoch(peer, inc)
 }
 func (b *clusterBackend) Initiate(slot int, v protocol.Value) error {
-	_, _, err := b.c.InitiateIn(b.id, slot, v, 2*time.Second)
+	_, _, err := b.c.Initiate(b.id, slot, v)
 	return err
 }
 func (b *clusterBackend) InjectFault(seed int64, severityPermille, inFlight int) error {
 	return fmt.Errorf("ops: campaign backends do not inject faults")
-}
-
-// pumpBackend drives pump initiations through the cluster, like the
-// service layer's live backend.
-type pumpBackend struct{ c *nettrans.Cluster }
-
-func (b *pumpBackend) Initiate(g protocol.NodeID, slot int, v protocol.Value) (protocol.Value, error) {
-	_, wireV, err := b.c.InitiateIn(g, slot, v, 2*time.Second)
-	return wireV, err
 }
 
 // pendingRoll tracks one executed roll until its verdicts land.
@@ -160,7 +151,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
 
 	pump := service.NewPump(service.PumpConfig{
 		Params:   pp,
-		Backend:  &pumpBackend{c: c},
+		Backend:  service.ClusterBackend{C: c},
 		Recorder: c.Recorder(),
 		Sessions: sessions,
 		// The campaign judges the roll under a fully committed workload, so

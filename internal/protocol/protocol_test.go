@@ -2,7 +2,9 @@ package protocol
 
 import (
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ssbyz/internal/simtime"
 )
@@ -201,5 +203,87 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if got := r.Len(); got != 400 {
 		t.Errorf("concurrent Len = %d, want 400", got)
+	}
+}
+
+// TestRecorderNotify pins the wake-up signal the live runners sleep on: a
+// Notify channel fires on the next Add of its own kind only, wakes every
+// waiter holding it, and Add never blocks on it — nobody reading, or
+// many writers at once (run it under -race).
+func TestRecorderNotify(t *testing.T) {
+	fired := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	r := NewRecorder()
+	decided := r.Notify(EvDecide)
+	if again := r.Notify(EvDecide); again != decided {
+		t.Fatal("two Notify calls before any Add returned different channels")
+	}
+	r.Add(TraceEvent{Kind: EvInitiate})
+	r.Add(TraceEvent{Kind: EvAbort})
+	if fired(decided) {
+		t.Fatal("EvDecide signal fired on other kinds")
+	}
+	r.Add(TraceEvent{Kind: EvDecide})
+	if !fired(decided) {
+		t.Fatal("EvDecide signal did not fire on an EvDecide")
+	}
+	next := r.Notify(EvDecide)
+	if fired(next) {
+		t.Fatal("the signal taken after an Add fired without a new one")
+	}
+	if r.Notify(EventKind(-1)) != nil {
+		t.Error("out-of-range kind returned a live channel")
+	}
+
+	// Waiters and writers concurrently: every waiter wakes, and the
+	// writers finish although nobody drains anything.
+	const waiters, writers, adds = 4, 4, 200
+	var wg, ready sync.WaitGroup
+	start := make(chan struct{})
+	before, total := r.KindLen(EvDecide), r.Len()
+	for w := 0; w < waiters; w++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			ch := r.Notify(EvDecide)
+			ready.Done()
+			<-ch
+			if r.KindLen(EvDecide) <= before {
+				t.Error("waiter woke before an EvDecide was recorded")
+			}
+		}()
+	}
+	ready.Wait()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < adds; i++ {
+				kind := EvDecide
+				if i%2 == 0 {
+					kind = EvInitiate
+				}
+				r.Add(TraceEvent{Kind: kind, Node: NodeID(w)})
+			}
+		}(w)
+	}
+	close(start)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Add blocked or a waiter never woke")
+	}
+	if got, want := r.Len(), total+writers*adds; got != want {
+		t.Errorf("Len = %d, want %d", got, want)
 	}
 }

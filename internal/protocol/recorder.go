@@ -25,6 +25,9 @@ type Recorder struct {
 	// arrival order. Positions (not copies): one TraceEvent is ~9 words,
 	// and most kinds are read a handful of times per run.
 	byKind [maxEventKind + 1][]int32
+	// notify[k] is the channel Notify(k) hands out; the next kind-k Add
+	// closes it. Nil until someone asks, so the simulator pays nothing.
+	notify [maxEventKind + 1]chan struct{}
 }
 
 // NewRecorder returns an empty recorder safe for concurrent use.
@@ -53,8 +56,31 @@ func (r *Recorder) Add(ev TraceEvent) {
 	defer r.unlock()
 	if k := int(ev.Kind); k >= 0 && k <= maxEventKind {
 		r.byKind[k] = append(r.byKind[k], int32(len(r.events)))
+		if ch := r.notify[k]; ch != nil {
+			close(ch)
+			r.notify[k] = nil
+		}
 	}
 	r.events = append(r.events, ev)
+}
+
+// Notify returns a channel that is closed by the next Add of the given
+// kind. Closing never blocks Add, and every goroutine holding the channel
+// wakes, so any number of waiters may share a kind with nothing to
+// unsubscribe. A waiter takes the channel first, then reads the recorder,
+// then blocks on it: an event recorded after the read cannot be missed.
+// An out-of-range kind yields nil, which never fires.
+func (r *Recorder) Notify(kind EventKind) <-chan struct{} {
+	r.lock()
+	defer r.unlock()
+	k := int(kind)
+	if k < 0 || k > maxEventKind {
+		return nil
+	}
+	if r.notify[k] == nil {
+		r.notify[k] = make(chan struct{})
+	}
+	return r.notify[k]
 }
 
 // Events returns a copy of all recorded events in arrival order.

@@ -183,7 +183,7 @@ func RunLive(sp Spec) (*LiveRun, error) {
 		advanceTo(ev.at)
 		if ev.init >= 0 {
 			init := sp.Script[ev.init]
-			t0, err := c.Initiate(init.G, init.Value, 10*time.Second)
+			t0, _, err := c.Initiate(init.G, 0, init.Value)
 			if err != nil {
 				run.InitErrs[ev.init] = err
 				continue

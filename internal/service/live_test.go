@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -92,7 +93,7 @@ func TestLiveServiceVirtual(t *testing.T) {
 // session-multiplexed engine: two Generals serve replicated logs at the
 // same time, each draining a burst through 8 concurrent footnote-9
 // sessions, so node event loops, shared timers, the wire codec, and the
-// pump's wall-clock polling all interleave under load. Run under -race
+// pump's decide-driven wake-ups all interleave under load. Run under -race
 // (CI's service race gate) it proves the multiplexing added no data
 // races; in any build the verdict is full commitment and a clean
 // per-session battery. Wall-clock, so gated out of -short.
@@ -118,13 +119,20 @@ func TestLiveServiceConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// d is 6 ms of wall time here: a loaded host can break the
+	// bounded-delay axiom itself, which the transport counts as late drops.
+	// Name that on failure rather than only the symptom.
+	axiom := fmt.Sprintf("late_drops=%d of %d frames received", res.Stats.LateDrops, res.Stats.Received)
+	if res.Stats.LateDrops > 0 {
+		axiom = "host broke the d-bound: " + axiom
+	}
 	for _, lr := range res.Logs {
 		if len(lr.Committed) != entries || lr.Failed != 0 || lr.Dropped != 0 {
-			t.Fatalf("G%d: committed=%d failed=%d dropped=%d, want %d/0/0",
-				lr.G, len(lr.Committed), lr.Failed, lr.Dropped, entries)
+			t.Fatalf("G%d: committed=%d failed=%d dropped=%d, want %d/0/0 (%s)",
+				lr.G, len(lr.Committed), lr.Failed, lr.Dropped, entries, axiom)
 		}
 	}
 	if v := Battery(res.Res, res.Logs); len(v) != 0 {
-		t.Fatalf("battery violations on live trace (%d): %v", len(v), v[0])
+		t.Fatalf("battery violations on live trace (%d): %v (%s)", len(v), v[0], axiom)
 	}
 }

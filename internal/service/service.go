@@ -23,12 +23,14 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
 
 	"ssbyz/internal/core"
 	"ssbyz/internal/protocol"
+	"ssbyz/internal/sim"
 	"ssbyz/internal/simtime"
 )
 
@@ -105,14 +107,50 @@ func PoissonArrivals(seed int64, start simtime.Real, meanGap simtime.Duration, c
 }
 
 // Backend is the runtime surface the pump drives: a way to start one
-// agreement in one concurrent-invocation slot at General g. Initiate
-// returns the exact wire value of the initiation (the node adds the
-// footnote-9 "s<slot>|" namespace when it multiplexes sessions) — that
-// value is how the pump recognizes the matching decide return in the
-// trace. Sending-validity refusals (IG1–IG3) come back as core's
+// agreement at General g in the first of the given free
+// concurrent-invocation slots that accepts it — InitiateFirst, run in one
+// pass over the General's state machine. It returns the slot the search
+// stopped at and the exact wire value of the initiation (the node adds
+// the footnote-9 "s<slot>|" namespace when it multiplexes sessions) —
+// that value is how the pump recognizes the matching decide return in
+// the trace. Sending-validity refusals (IG1–IG3) come back as core's
 // sentinel errors.
 type Backend interface {
-	Initiate(g protocol.NodeID, slot int, v protocol.Value) (protocol.Value, error)
+	Initiate(g protocol.NodeID, slots []int, v protocol.Value) (slot int, wire protocol.Value, err error)
+}
+
+// InitiateFirst tries slots in order on node n and stops at the first
+// that does not refuse with IG1 (ErrTooSoon) or IG3 (ErrBackoff): the
+// slot it started agreement on, or the slot whose refusal is final for
+// this value. When every slot refuses for now it returns the last
+// refusal. Single-session nodes accept slot 0 only.
+func InitiateFirst(n protocol.Node, slots []int, v protocol.Value) (slot int, wire protocol.Value, err error) {
+	if len(slots) == 0 {
+		return -1, "", errors.New("service: no free slot")
+	}
+	for _, slot = range slots {
+		switch m := n.(type) {
+		case sim.SlotInitiator:
+			wire, err = protocol.SlotValue(slot, v), m.InitiateAgreement(slot, v)
+		case sim.Initiator:
+			wire, err = v, errors.New("service: node has no concurrent slots")
+			if slot == 0 {
+				err = m.InitiateAgreement(v)
+			}
+		default:
+			return slot, v, errors.New("service: node cannot initiate agreements")
+		}
+		if !refusedForNow(err) {
+			break
+		}
+	}
+	return slot, wire, err
+}
+
+// refusedForNow reports an IG1 (rate limit) or IG3 (back-off) refusal:
+// the slot may take the entry later, another slot may take it now.
+func refusedForNow(err error) bool {
+	return errors.Is(err, core.ErrTooSoon) || errors.Is(err, core.ErrBackoff)
 }
 
 // PumpConfig assembles a Pump.
@@ -133,11 +171,15 @@ type logState struct {
 	slotEntry []int // slot -> in-flight entry index, -1 when free
 	entries   []*Entry
 	dropped   int
+	// refused: the last pass left the queue head refused (IG1/IG3) by
+	// every free slot it tried, so only a later poll can place it.
+	refused bool
 }
 
 // Pump runs the service control loop. It is single-threaded by design:
-// the simulator calls Step from scheduler callbacks, the live driver from
-// one polling goroutine; determinism of the sim path follows.
+// the simulator calls Step from scheduler callbacks, the live runner from
+// one goroutine woken by NextWake or a decide; determinism of the sim
+// path follows.
 type Pump struct {
 	pp         protocol.Params
 	be         Backend
@@ -273,21 +315,33 @@ func (p *Pump) payload(ls *logState, i int) protocol.Value {
 	return protocol.Value("p" + strconv.Itoa(i))
 }
 
-// initiate fills free slots from the queue head. IG1/IG3 refusals leave
-// the entry queued for the next pass (the slot is merely rate-limited);
-// any other refusal fails the entry.
+// initiate fills free slots from the queue head, one backend call per
+// entry over the free slots in ascending order; the next entry's search
+// resumes past the slot the previous one stopped at. IG1/IG3 refusals on
+// every remaining slot leave the entry queued for the next pass (the
+// slots are merely rate-limited); any other refusal fails the entry.
 func (p *Pump) initiate(ls *logState, now simtime.Real) {
-	for slot := 0; slot < p.sessions && len(ls.queue) > 0; slot++ {
-		if ls.slotEntry[slot] >= 0 {
-			continue
+	ls.refused = false
+	if len(ls.queue) == 0 {
+		return
+	}
+	var free []int
+	for slot, idx := range ls.slotEntry {
+		if idx < 0 {
+			free = append(free, slot)
 		}
+	}
+	for len(free) > 0 && len(ls.queue) > 0 {
 		idx := ls.queue[0]
 		e := ls.entries[idx]
 		// Unique per entry so IG2 (same value within Δv) never trips and
 		// the decide return is attributable to exactly one entry.
 		inner := protocol.Value(strconv.Itoa(e.Index) + "#" + string(e.Payload))
-		wire, err := p.be.Initiate(ls.load.G, slot, inner)
+		slot, wire, err := p.be.Initiate(ls.load.G, free, inner)
 		switch {
+		case refusedForNow(err):
+			ls.refused = true
+			return
 		case err == nil:
 			ls.queue = ls.queue[1:]
 			e.State = EntryInitiated
@@ -296,15 +350,44 @@ func (p *Pump) initiate(ls *logState, now simtime.Real) {
 			e.Wire = wire
 			ls.slotEntry[slot] = idx
 			p.byWire[wireKey{g: ls.load.G, wire: wire}] = wireRef{log: p.logIndex(ls), entry: idx}
-		case errors.Is(err, core.ErrTooSoon) || errors.Is(err, core.ErrBackoff):
-			// This slot is rate-limited (IG1) or backing off (IG3); another
-			// slot may still take the entry.
-			continue
 		default:
 			ls.queue = ls.queue[1:]
 			e.State = EntryFailed
 		}
+		for len(free) > 0 && free[0] <= slot {
+			free = free[1:]
+		}
 	}
+}
+
+// Never is NextWake's answer when no instant is due: nothing arrives, no
+// slot is in flight and nothing waits on a refusal.
+const Never = simtime.Real(math.MaxInt64)
+
+// NextWake returns the earliest instant after a Step at now at which the
+// next Step has work that no decide return will announce: the next
+// arrival not yet admitted, the first instant a reclaim fires (an
+// in-flight entry's InitiatedAt + Δagr + 8d has passed), and — only while
+// IG1/IG3 refused a queued entry on every free slot it tried — now + d/4,
+// since the pump cannot see when a node's rate limit lifts. Everything
+// else Step does follows a decide return; the wall-clock runner sleeps
+// until the earlier of NextWake and the next EvDecide (Recorder.Notify).
+func (p *Pump) NextWake(now simtime.Real) simtime.Real {
+	wake := Never
+	for _, ls := range p.logs {
+		if ls.next < len(ls.load.Arrivals) {
+			wake = min(wake, ls.load.Arrivals[ls.next])
+		}
+		for _, idx := range ls.slotEntry {
+			if idx >= 0 {
+				wake = min(wake, ls.entries[idx].InitiatedAt+p.failAfter+1)
+			}
+		}
+		if ls.refused {
+			wake = min(wake, now+max(simtime.Real(p.pp.D/4), 1))
+		}
+	}
+	return wake
 }
 
 func (p *Pump) logIndex(ls *logState) int {

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"fmt"
-
 	"ssbyz/internal/indexed"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/sim"
@@ -35,23 +33,10 @@ type SimResult struct {
 
 // simBackend adapts the simulator world to the pump: virtual time and
 // direct (in-scheduler-callback) initiation on the General's node.
-type simBackend struct {
-	w        *simnet.World
-	sessions int
-}
+type simBackend struct{ w *simnet.World }
 
-func (b *simBackend) Initiate(g protocol.NodeID, slot int, v protocol.Value) (protocol.Value, error) {
-	switch n := b.w.Node(g).(type) {
-	case sim.SlotInitiator:
-		return protocol.SlotValue(slot, v), n.InitiateAgreement(slot, v)
-	case sim.Initiator:
-		if slot != 0 {
-			return v, fmt.Errorf("service: node %d has no concurrent slots", g)
-		}
-		return v, n.InitiateAgreement(v)
-	default:
-		return v, fmt.Errorf("service: node %d cannot initiate agreements", g)
-	}
+func (b simBackend) Initiate(g protocol.NodeID, slots []int, v protocol.Value) (int, protocol.Value, error) {
+	return InitiateFirst(b.w.Node(g), slots, v)
 }
 
 // RunSim executes the workload to completion in virtual time. Sessions > 1
@@ -85,7 +70,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	sc.Drive = func(w *simnet.World) {
 		pump = NewPump(PumpConfig{
 			Params:     sc.Params,
-			Backend:    &simBackend{w: w, sessions: sessions},
+			Backend:    simBackend{w: w},
 			Recorder:   w.Recorder(),
 			Sessions:   sessions,
 			QueueLimit: cfg.QueueLimit,
