@@ -27,12 +27,13 @@ func benchFanout(b *testing.B, legacy bool, dmin, dmax simtime.Duration) {
 }
 
 // BenchmarkBroadcastFanout compares the batched per-tick delivery path
-// against the legacy per-recipient one at n = 64. "narrow" is a
-// deterministic-delay network (every recipient shares one arrival tick:
-// the batch win is n×); "wide" is the standard δ ∈ [d/2, d] spread, where
-// recipients scatter across ~d/2 ticks and the adaptive cutover
-// (simnet.World.useBatch) routes broadcasts down the per-recipient path —
-// the two "wide" numbers must therefore be statistically identical.
+// against the legacy one, one argument event per recipient, at n = 64.
+// "narrow" is a deterministic-delay network (every recipient shares one
+// arrival tick, so one batch event replaces 64 argument events); "wide"
+// is the standard δ ∈ [d/2, d] spread, where recipients scatter across
+// ~d/2 ticks and the adaptive cutover (simnet.World.useBatch) routes
+// broadcasts down the per-recipient path — the two "wide" numbers must
+// therefore be statistically identical.
 func BenchmarkBroadcastFanout(b *testing.B) {
 	pp := protocol.DefaultParams(64)
 	b.Run("batched/narrow", func(b *testing.B) { benchFanout(b, false, 5, 5) })

@@ -25,11 +25,11 @@ func (rt *nodeRT) Now() simtime.Local { return rt.clock.ReadAt(rt.w.sch.Now()) }
 func (rt *nodeRT) Params() protocol.Params { return rt.w.cfg.Params }
 
 func (rt *nodeRT) Send(to protocol.NodeID, m protocol.Message) {
-	rt.w.deliver(rt.id, to, m, rt.w.delayFor(rt.id, to, m))
+	rt.w.fanOut(rt.id, int(to), int(to)+1, m, drawDelay)
 }
 
 func (rt *nodeRT) Broadcast(m protocol.Message) {
-	rt.w.broadcastFrom(rt.id, m)
+	rt.w.fanOut(rt.id, 0, rt.w.cfg.Params.N, m, drawDelay)
 }
 
 func (rt *nodeRT) After(dl simtime.Duration, tag protocol.TimerTag) protocol.TimerID {
@@ -96,7 +96,7 @@ type AdversaryRuntime interface {
 }
 
 func (rt *nodeRT) SendAt(to protocol.NodeID, m protocol.Message, delay simtime.Duration) {
-	rt.w.deliver(rt.id, to, m, rt.w.clampDelay(delay))
+	rt.w.fanOut(rt.id, int(to), int(to)+1, m, rt.w.clampDelay(delay))
 }
 
 func (rt *nodeRT) Rand() *rand.Rand { return rt.w.rng }

@@ -88,13 +88,12 @@ type World struct {
 	conds     []compiledCond
 	condDrops int64
 
-	// delPool recycles delivery events so that scheduling one in-flight
-	// message performs zero heap allocations (DESIGN.md §5); delSlab
-	// carves fresh deliveries out of chunk allocations, so the in-flight
-	// peak of a broadcast storm is a few large spans rather than millions
-	// of individually tracked heap objects (the GC scan cost at n ≥ 128).
-	delPool []*delivery
-	delSlab []delivery
+	// recPool recycles send records, so that scheduling a send performs
+	// zero heap allocations once the pool is warm (DESIGN.md §5); records
+	// counts every record ever made, all of which are back in the pool
+	// once the scheduler drains.
+	recPool []*sendRecord
+	records int
 
 	// batchPool recycles fan-out batches, and fanScratch/fanOffs are the
 	// per-Broadcast bucketing workspace: fanScratch is indexed by the
@@ -109,44 +108,56 @@ type World struct {
 	// useBatch selects the batched fan-out: per-tick batches only pay
 	// when recipients actually share arrival ticks, i.e. when the delay
 	// span is within a small factor of n (they win n× on deterministic
-	// delays and lose a bucketing pass on wide scatters, where the
-	// per-recipient pooled path is already optimal). Either path yields
-	// byte-identical runs, so this is purely a cost choice.
+	// delays and lose a bucketing pass on wide scatters, where one
+	// argument event per recipient is already optimal). Either path
+	// yields byte-identical runs, so this is purely a cost choice.
 	useBatch bool
 
 	started bool
 }
 
-// delivery is one in-flight message: a pooled simtime.Handler, so the
-// delivery hot path allocates neither a closure nor a scheduler entry.
-type delivery struct {
-	w  *World
-	to protocol.NodeID
-	m  protocol.Message
+// sendRecord is one send's in-flight state: the message, stamped with
+// its authenticated sender, and the number of its scheduled deliveries
+// still pending. Each recipient is a 32-byte simtime.PostArg event
+// carrying the recipient's ID against the shared record (a batch of
+// same-tick recipients counts as one delivery), so a broadcast stores its
+// message once rather than once per recipient, and scheduling it
+// allocates nothing once the pool is warm.
+type sendRecord struct {
+	w       *World
+	m       protocol.Message
+	pending int
 }
 
-// RunEvent delivers the message. The delivery object returns itself to
-// the pool before dispatching, so nodes that send while handling a message
-// (the message-driven rounds) can reuse it immediately. Its fields are
-// left stale until reuse — clearing them per delivery is measurable at
-// n ≥ 128, and the only thing they retain is a short value string.
-func (d *delivery) RunEvent() {
-	w, to, m := d.w, d.to, d.m
-	w.delPool = append(w.delPool, d)
+// RunEventArg delivers the message to node to.
+func (r *sendRecord) RunEventArg(to uint64) {
+	w, m := r.w, r.m
+	r.done()
 	if n := w.nodes[to]; n != nil {
 		n.OnMessage(m.From, m)
 	}
 }
 
+// done retires one pending delivery, returning the record to the pool
+// with the last one. Callers copy the message out first: the recipient's
+// handler may send again and reuse the record at once. The fields are
+// left stale until reuse — the only thing they retain is a short value
+// string.
+func (r *sendRecord) done() {
+	r.pending--
+	if r.pending == 0 {
+		r.w.recPool = append(r.w.recPool, r)
+	}
+}
+
 // deliveryBatch is one broadcast's recipients that share an arrival tick:
-// a single pooled scheduler event standing for len(tos) deliveries. The
-// recipients are dispatched in the order they were enqueued (ascending
-// NodeID within one Broadcast call), which is exactly the (time, seq)
-// order the per-recipient fan-out would have produced, so traces are
-// byte-identical between the two paths.
+// a single pooled scheduler event standing for len(tos) deliveries of the
+// send's record. The recipients are dispatched in the order they were
+// enqueued (ascending NodeID within one Broadcast call), which is exactly
+// the (time, schedule) order the per-recipient fan-out would have
+// produced, so traces are byte-identical between the two paths.
 type deliveryBatch struct {
-	w   *World
-	m   protocol.Message
+	r   *sendRecord
 	tos []protocol.NodeID
 }
 
@@ -156,14 +167,15 @@ type deliveryBatch struct {
 // returns to the pool only after the last dispatch: a nested Broadcast
 // issued by a recipient must not reuse the recipient slice mid-iteration.
 func (b *deliveryBatch) RunEvent() {
-	w, m, tos := b.w, b.m, b.tos
+	w, m, tos := b.r.w, b.r.m, b.tos
+	b.r.done()
 	w.sch.AddProcessed(uint64(len(tos) - 1))
 	for _, to := range tos {
 		if n := w.nodes[to]; n != nil {
 			n.OnMessage(m.From, m)
 		}
 	}
-	b.tos = tos[:0]
+	b.r, b.tos = nil, tos[:0]
 	w.batchPool = append(w.batchPool, b)
 }
 
@@ -305,109 +317,84 @@ func (w *World) clampDelay(d simtime.Duration) simtime.Duration {
 	return d
 }
 
-// countMessage applies the per-send accounting (total + per-kind
-// counters) and the in-flight drop filter, reporting whether the message
-// survives. Both fan-out paths go through it — the byte-identical
-// guarantee between them depends on this accounting having exactly one
-// implementation. m must still be unstamped here (the filter sees the
-// message as sent, From excluded).
-func (w *World) countMessage(from, to protocol.NodeID, m protocol.Message) bool {
-	w.total++
-	if int(m.Kind) < len(w.counts) {
-		w.counts[m.Kind]++
-	}
-	return w.dropFn == nil || !w.dropFn(from, to, m)
-}
-
-// deliver schedules the arrival of m at to, after delay. Deliveries are
-// uncancellable pooled events: no allocation, no scheduler bookkeeping.
-// Condition drops happen after the send accounting — a partitioned
-// message was sent and counted; the network ate it.
-func (w *World) deliver(from, to protocol.NodeID, m protocol.Message, delay simtime.Duration) {
-	drop := false
-	if len(w.conds) != 0 {
-		delay, drop = w.applyConditions(from, to, delay)
-	}
-	if !w.countMessage(from, to, m) {
-		return
-	}
-	if drop {
-		w.condDrops++
-		return
-	}
-	m.From = from // authenticated identity: stamped by the transport
-	w.sch.PostHandlerAfter(delay, w.pooledDelivery(to, m))
-}
-
-// pooledDelivery pops (or carves) a delivery event for (to, m).
-func (w *World) pooledDelivery(to protocol.NodeID, m protocol.Message) *delivery {
-	var d *delivery
-	if n := len(w.delPool); n > 0 {
-		d = w.delPool[n-1]
-		w.delPool = w.delPool[:n-1]
+// record pops (or makes) a send record for m.
+func (w *World) record(m protocol.Message) *sendRecord {
+	var r *sendRecord
+	if n := len(w.recPool); n > 0 {
+		r = w.recPool[n-1]
+		w.recPool = w.recPool[:n-1]
 	} else {
-		if len(w.delSlab) == cap(w.delSlab) {
-			// Full (or nil) slab: start a fresh chunk. The old chunk must
-			// not be grown in place — outstanding deliveries point into it.
-			w.delSlab = make([]delivery, 0, 512)
-		}
-		w.delSlab = w.delSlab[:len(w.delSlab)+1]
-		d = &w.delSlab[len(w.delSlab)-1]
+		r = &sendRecord{w: w}
+		w.records++
 	}
-	*d = delivery{w: w, to: to, m: m}
-	return d
+	r.m = m
+	return r
 }
 
-// pooledBatch pops (or makes) an empty fan-out batch for m.
-func (w *World) pooledBatch(m protocol.Message) *deliveryBatch {
-	var b *deliveryBatch
+// pooledBatch pops (or makes) an empty fan-out batch.
+func (w *World) pooledBatch() *deliveryBatch {
 	if n := len(w.batchPool); n > 0 {
-		b = w.batchPool[n-1]
+		b := w.batchPool[n-1]
 		w.batchPool = w.batchPool[:n-1]
-	} else {
-		b = new(deliveryBatch)
+		return b
 	}
-	b.w, b.m = w, m
-	return b
+	return new(deliveryBatch)
 }
 
-// broadcastFrom implements Runtime.Broadcast: one send to every node,
-// including the sender (the model has no broadcast medium). The batched
-// path draws the same delay sequence the per-recipient path would
-// (ascending recipient ID, so the RNG stream is untouched), buckets
-// recipients by arrival tick, and posts ONE pooled batch event per
-// distinct tick — up to n× less scheduler traffic per broadcast (all of
-// it when delays are deterministic) with the exact per-recipient
-// (time, seq) delivery order of the legacy path, so traces, message
-// counts, and processed-event counts are byte-identical between the two.
-func (w *World) broadcastFrom(from protocol.NodeID, m protocol.Message) {
-	n := w.cfg.Params.N
-	if w.cfg.LegacyFanout || !w.useBatch {
-		for to := 0; to < n; to++ {
-			w.deliver(from, protocol.NodeID(to), m, w.delayFor(from, protocol.NodeID(to), m))
-		}
-		return
-	}
+// drawDelay asks fanOut to draw each recipient's delay from the policy.
+const drawDelay simtime.Duration = -1
+
+// fanOut sends m from from to every node in [lo, hi): the one recipient
+// loop behind Send, SendAt and Broadcast. Per recipient it takes the
+// delay (drawn unless fixed), applies the condition schedule, counts the
+// send, and runs the drop filter, in that order — the RNG stream and
+// accounting every run is pinned to. A condition drop comes after the
+// count: a partitioned message was sent and counted; the network ate it.
+// The filter sees the message as sent, From excluded; deliveries carry it
+// stamped with the authenticated sender.
+//
+// Survivors share one record. Each becomes one PostArg event, or, on the
+// batched path, joins the batch of its arrival tick: one pooled event per
+// distinct tick, up to n× less scheduler traffic per broadcast (all of it
+// when delays are deterministic) with the exact per-recipient delivery
+// order, so traces, message counts, and processed-event counts are
+// byte-identical between the two.
+func (w *World) fanOut(from protocol.NodeID, lo, hi int, m protocol.Message, delay simtime.Duration) {
+	batch := hi-lo > 1 && w.useBatch && !w.cfg.LegacyFanout
 	sm := m
 	sm.From = from // authenticated identity: stamped by the transport
-	for to := 0; to < n; to++ {
+	r := w.record(sm)
+	now := w.sch.Now()
+	for to := lo; to < hi; to++ {
 		toID := protocol.NodeID(to)
-		delay := w.delayFor(from, toID, m)
+		d := delay
+		if d == drawDelay {
+			d = w.delayFor(from, toID, m)
+		}
 		drop := false
 		if len(w.conds) != 0 {
-			delay, drop = w.applyConditions(from, toID, delay)
+			d, drop = w.applyConditions(from, toID, d)
 		}
-		if !w.countMessage(from, toID, m) {
+		w.total++
+		if int(m.Kind) < len(w.counts) {
+			w.counts[m.Kind]++
+		}
+		if w.dropFn != nil && w.dropFn(from, toID, m) {
 			continue
 		}
 		if drop {
 			w.condDrops++
 			continue
 		}
-		off := int(delay - w.cfg.DelayMin)
+		if !batch {
+			r.pending++
+			w.sch.PostArg(now.Add(d), r, uint64(toID))
+			continue
+		}
+		off := int(d - w.cfg.DelayMin)
 		b := w.fanScratch[off]
 		if b == nil {
-			b = w.pooledBatch(sm)
+			b = w.pooledBatch()
 			w.fanScratch[off] = b
 			w.fanOffs = append(w.fanOffs, off)
 		}
@@ -419,26 +406,33 @@ func (w *World) broadcastFrom(from protocol.NodeID, m protocol.Message) {
 	for _, off := range w.fanOffs {
 		b := w.fanScratch[off]
 		w.fanScratch[off] = nil
-		delay := w.cfg.DelayMin + simtime.Duration(off)
+		at := now.Add(w.cfg.DelayMin + simtime.Duration(off))
+		r.pending++
 		if len(b.tos) == 1 {
-			// A lone recipient degrades to a plain delivery: smaller event,
-			// and the batch returns to the pool immediately.
-			to := b.tos[0]
-			*b = deliveryBatch{tos: b.tos[:0]}
+			// A lone recipient degrades to a plain argument event, and the
+			// batch returns to the pool immediately.
+			w.sch.PostArg(at, r, uint64(b.tos[0]))
+			b.tos = b.tos[:0]
 			w.batchPool = append(w.batchPool, b)
-			w.sch.PostHandlerAfter(delay, w.pooledDelivery(to, sm))
 			continue
 		}
-		w.sch.PostHandlerAfter(delay, b)
+		b.r = r
+		w.sch.PostHandler(at, b)
 	}
 	w.fanOffs = w.fanOffs[:0]
+	if r.pending == 0 {
+		w.recPool = append(w.recPool, r) // every recipient dropped
+	}
 }
 
 // InjectDelivery schedules a raw message delivery outside the normal send
 // path. The transient injector uses it to model residue of the incoherent
 // period: spurious messages that arrive right after coherence begins. The
-// claimed sender From must be set by the caller. The event is a pooled
-// handler, honoring the no-allocation delivery invariant.
+// claimed sender From must be set by the caller. The delivery is one
+// argument event against a pooled send record, so injecting allocates
+// nothing once the pool is warm.
 func (w *World) InjectDelivery(to protocol.NodeID, m protocol.Message, at simtime.Real) {
-	w.sch.PostHandler(at, w.pooledDelivery(to, m))
+	r := w.record(m)
+	r.pending = 1
+	w.sch.PostArg(at, r, uint64(to))
 }

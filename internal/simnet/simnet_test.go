@@ -404,3 +404,143 @@ func TestRTauGReconstruction(t *testing.T) {
 		t.Errorf("rt(τG) reconstructed as %d, want 500±1", evs[0].RTauG)
 	}
 }
+
+// recordsHome reports whether every send record ever made is back in the
+// pool.
+func recordsHome(w *World) bool { return len(w.recPool) == w.records }
+
+// TestRecordReturnedWhenAllDropped: a broadcast whose every recipient is
+// dropped schedules nothing and returns its record at once.
+func TestRecordReturnedWhenAllDropped(t *testing.T) {
+	for _, narrow := range []bool{false, true} {
+		cfg := Config{Seed: 15}
+		if narrow {
+			cfg.Params = protocol.DefaultParams(4)
+			cfg.DelayMin, cfg.DelayMax = 5, 5
+		}
+		w := newWorld(t, cfg)
+		w.SetDropFn(func(protocol.NodeID, protocol.NodeID, protocol.Message) bool { return true })
+		w.Runtime(0).Broadcast(protocol.Message{Kind: protocol.Support, G: 0, M: "x"})
+		if w.Scheduler().Pending() != 0 {
+			t.Errorf("narrow=%v: %d events scheduled for dropped messages", narrow, w.Scheduler().Pending())
+		}
+		if w.records != 1 || !recordsHome(w) {
+			t.Errorf("narrow=%v: %d records made, %d pooled; want 1 made and back", narrow, w.records, len(w.recPool))
+		}
+	}
+}
+
+// rebroadcaster re-broadcasts the first message it receives under a new
+// value, from inside the delivery of the original send.
+type rebroadcaster struct {
+	probe
+	done bool
+}
+
+func (r *rebroadcaster) OnMessage(from protocol.NodeID, m protocol.Message) {
+	r.probe.OnMessage(from, m)
+	if !r.done {
+		r.done = true
+		r.rt.Broadcast(protocol.Message{Kind: protocol.Support, G: 0, M: "echo"})
+	}
+}
+
+// TestRebroadcastDuringDispatch: a recipient that broadcasts while one of
+// its send's deliveries is being dispatched takes a fresh record (or
+// reuses a finished one); the original send's remaining recipients still
+// receive the original message, on both fan-out paths.
+func TestRebroadcastDuringDispatch(t *testing.T) {
+	for _, narrow := range []bool{false, true} {
+		pp := protocol.DefaultParams(7)
+		cfg := Config{Params: pp, Seed: 16}
+		if narrow {
+			// One batch holds every recipient, so node 2 re-broadcasts
+			// while the batch is its record's last pending delivery.
+			cfg.DelayMin = pp.D
+		}
+		w := newWorld(t, cfg)
+		nodes := make([]*rebroadcaster, pp.N)
+		for i := range nodes {
+			nodes[i] = &rebroadcaster{done: i != 2}
+			w.SetNode(protocol.NodeID(i), nodes[i])
+		}
+		w.Start()
+		w.Scheduler().At(0, func() {
+			w.Runtime(0).Broadcast(protocol.Message{Kind: protocol.Support, G: 0, M: "orig"})
+		})
+		w.RunUntil(10 * simtime.Real(pp.D))
+		for i, n := range nodes {
+			if len(n.messages) != 2 {
+				t.Fatalf("narrow=%v: node %d got %d messages, want 2", narrow, i, len(n.messages))
+			}
+			got := map[protocol.Value]protocol.NodeID{}
+			for _, r := range n.messages {
+				got[r.msg.M] = r.from
+			}
+			if from, ok := got["orig"]; !ok || from != 0 {
+				t.Errorf("narrow=%v: node %d: original message missing or mis-stamped: %+v", narrow, i, n.messages)
+			}
+			if from, ok := got["echo"]; !ok || from != 2 {
+				t.Errorf("narrow=%v: node %d: re-broadcast missing or mis-stamped: %+v", narrow, i, n.messages)
+			}
+		}
+		if !recordsHome(w) {
+			t.Errorf("narrow=%v: %d records made, %d pooled after drain", narrow, w.records, len(w.recPool))
+		}
+	}
+}
+
+// chatter passes a token around the ring: it re-broadcasts what its
+// predecessor broadcast, and now and then answers with a unicast, until
+// its budget runs out — a long run of nested sends.
+type chatter struct {
+	probe
+	budget int
+}
+
+func (c *chatter) OnMessage(from protocol.NodeID, m protocol.Message) {
+	n := c.rt.Params().N
+	if m.Kind != protocol.Support || int(from) != (int(c.rt.ID())+n-1)%n || c.budget == 0 {
+		return
+	}
+	c.budget--
+	c.rt.Broadcast(m)
+	if c.budget%7 == 0 {
+		c.rt.Send(from, protocol.Message{Kind: protocol.Ready, G: 0, M: m.M})
+	}
+}
+
+// TestRecordsDoNotLeak: over a long run of broadcasts, unicasts and an
+// injected delivery on both fan-out paths, the record population stays
+// bounded by the few sends in flight at once, and once the scheduler
+// drains every record is back in the pool.
+func TestRecordsDoNotLeak(t *testing.T) {
+	for _, narrow := range []bool{false, true} {
+		pp := protocol.DefaultParams(7)
+		// Hops of at least d/2 keep a few broadcasts in flight at once.
+		cfg := Config{Params: pp, Seed: 17, DelayMin: pp.D / 2}
+		if narrow {
+			cfg.DelayMin = pp.D - 10
+		}
+		w := newWorld(t, cfg)
+		for i := 0; i < pp.N; i++ {
+			w.SetNode(protocol.NodeID(i), &chatter{budget: 400})
+		}
+		w.Start()
+		w.InjectDelivery(3, protocol.Message{Kind: protocol.Support, G: 0, M: "token", From: 2}, 0)
+		w.RunUntil(simtime.Real(1000 * pp.N * int(pp.D)))
+		if w.Scheduler().Pending() != 0 {
+			t.Fatalf("narrow=%v: run did not drain: %d pending", narrow, w.Scheduler().Pending())
+		}
+		total, _ := w.MessageCount()
+		if total < int64(pp.N*400) {
+			t.Fatalf("narrow=%v: only %d messages sent; the run is too short to show a leak", narrow, total)
+		}
+		if !recordsHome(w) {
+			t.Errorf("narrow=%v: %d records made, %d pooled after drain", narrow, w.records, len(w.recPool))
+		}
+		if w.records > 2*pp.N {
+			t.Errorf("narrow=%v: %d records made for %d sends: records are not being reused", narrow, w.records, total)
+		}
+	}
+}

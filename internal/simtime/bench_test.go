@@ -45,8 +45,8 @@ type nopHandler struct{}
 
 func (nopHandler) RunEvent() {}
 
-// BenchmarkSchedulerPostHandlerStep is the handler variant (what pooled
-// deliveries use).
+// BenchmarkSchedulerPostHandlerStep is the handler variant (what delivery
+// batches use).
 func BenchmarkSchedulerPostHandlerStep(b *testing.B) {
 	s := NewScheduler()
 	var h nopHandler
@@ -86,4 +86,34 @@ func BenchmarkWrapSub(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = WrapSub(Local(i), Local(i/2), 1<<30)
 	}
+}
+
+type nopArgHandler struct{}
+
+func (nopArgHandler) RunEventArg(uint64) {}
+
+// benchStorm posts 10⁶ events over [500, 1000] ticks — a broadcast
+// storm's in-flight window — and drains them; post stands for one event.
+func benchStorm(b *testing.B, post func(s *Scheduler, i int)) {
+	const inFlight = 1_000_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewScheduler()
+		for j := 0; j < inFlight; j++ {
+			post(s, j)
+		}
+		s.RunUntil(2000)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*inFlight), "ns/event")
+}
+
+// BenchmarkSchedulerStorm compares a plain Handler storm with the PostArg
+// one the simulated transport posts per message recipient.
+func BenchmarkSchedulerStorm(b *testing.B) {
+	b.Run("handler", func(b *testing.B) {
+		benchStorm(b, func(s *Scheduler, i int) { s.PostHandlerAfter(Duration(500+i%501), nopHandler{}) })
+	})
+	b.Run("arg", func(b *testing.B) {
+		benchStorm(b, func(s *Scheduler, i int) { s.PostArg(s.Now().Add(Duration(500+i%501)), nopArgHandler{}, uint64(i)) })
+	})
 }

@@ -6,11 +6,18 @@ package simtime
 type EventID uint64
 
 // Handler is a no-closure event payload: implementations carry their own
-// state and are invoked by RunEvent when the event fires. The simulated
-// transport uses pooled handlers so that scheduling a message delivery
-// performs zero heap allocations.
+// state and are invoked by RunEvent when the event fires. Posting a
+// caller-owned (typically pooled) handler performs zero heap allocations.
 type Handler interface {
 	RunEvent()
+}
+
+// ArgHandler is the argument-carrying form of Handler: one shared handler
+// can stand for many events that differ only in a word of state.
+// The simulated transport posts one event per message recipient against
+// the send's single record, with the recipient's ID as the argument.
+type ArgHandler interface {
+	RunEventArg(arg uint64)
 }
 
 // funcHandler adapts a plain func() to Handler. Closure-based events (the
@@ -19,31 +26,38 @@ type funcHandler func()
 
 func (f funcHandler) RunEvent() { f() }
 
-// event is one wheel entry. Its tick is implied by the bucket it sits in
-// (and its wrap-aware distance from the wheel base), so wheel storage is
-// 32 bytes per in-flight event with a single pointer-carrying field — the
-// dominant memory of a large-n broadcast storm, where millions of events
-// are in flight at once. seq breaks same-instant ties so events run in
-// schedule order.
+// argEvent is the id of every PostArg event: its h is an ArgHandler, and
+// arg is passed to it. Cancellable IDs count up from 1 and never reach it.
+const argEvent = EventID(1 << 63)
+
+// event is one wheel entry: 32 bytes, the dominant memory of a large-n
+// broadcast storm, where millions of events are in flight at once. Its
+// tick is implied by the bucket it sits in (and its wrap-aware distance
+// from the wheel base), and it carries no sequence number: a bucket is a
+// FIFO and overflow events migrate into it before any direct insert for
+// its tick can happen, so bucket order already is schedule order. h holds
+// a Handler, or an ArgHandler when id == argEvent.
 type event struct {
-	seq uint64
 	id  EventID
-	h   Handler
+	arg uint64
+	h   any
 }
 
-// timedEvent is an overflow-heap entry: an event plus its explicit tick.
+// timedEvent is an overflow-heap entry: an event plus its explicit tick
+// and the sequence number that breaks same-tick ties in the heap.
 type timedEvent struct {
-	at Real
+	at  Real
+	seq uint64
 	event
 }
 
 // chunkEvents sizes a bucket chunk so the whole chunk (511 × 32-byte
 // events + the next pointer) lands exactly in the 16KB allocator size
-// class. Buckets are chains of these fixed chunks instead of growing
-// slices: a run shorter than one wheel rotation used to regrow every
-// touched bucket from zero capacity through the large-alloc doubling
-// ladder, and the allocator's zeroing of those ever-larger arrays was
-// ~40% of a big-n S1 cell. Chunks drained by advance() go to a freelist
+// class (TestEventAndChunkSize pins both sizes). Buckets are chains of
+// these fixed chunks instead of growing slices: a run shorter than one
+// wheel rotation used to regrow every touched bucket from zero capacity
+// through the large-alloc doubling ladder, and the allocator's zeroing
+// of those ever-larger arrays was ~40% of a big-n S1 cell. Chunks drained by advance() go to a freelist
 // and are reused, so steady-state scheduling allocates nothing.
 const chunkEvents = 511
 
@@ -81,10 +95,11 @@ const wheelMask = wheelSize - 1
 // simulation, instead of an O(log E) sift through a heap of every
 // in-flight message. Buckets migrate from the overflow heap exactly when
 // their tick enters the horizon, before any direct insert for that tick
-// can happen, so the (at, seq) execution order is identical to a single
-// global priority queue.
+// can happen, so the execution order is identical to a single global
+// priority queue ordered by (tick, schedule order).
 type Scheduler struct {
 	now Real
+	// seq numbers overflow-heap entries in push order.
 	seq uint64
 
 	// wheel[(base+k) & wheelMask] holds the events for tick base+k,
@@ -163,7 +178,7 @@ func (s *Scheduler) schedule(at Real, e event) {
 		s.inWheel++
 		return
 	}
-	s.heapPush(timedEvent{at: at, event: e})
+	s.heapPush(at, e)
 }
 
 // bucketAppend appends e to b, extending the chunk chain from the
@@ -226,7 +241,10 @@ func (s *Scheduler) seek(b *bucket) {
 // RunUntil calls at times the base has already swept past. It evacuates
 // every pending wheel event to the overflow heap and re-migrates the
 // ones inside the new horizon, so bucket contents always match the
-// window [base, base+wheelSize). O(wheelSize); never on the hot path.
+// window [base, base+wheelSize). Evacuated events are numbered afresh in
+// bucket order, which keeps each tick's schedule order; they cannot tie
+// with events already in the heap, which all lie beyond the old horizon.
+// O(wheelSize); never on the hot path.
 func (s *Scheduler) rewind(to Real) {
 	for i := range s.wheel {
 		b := &s.wheel[i]
@@ -247,7 +265,7 @@ func (s *Scheduler) rewind(to Real) {
 				if idx >= skip {
 					e := c.ev[j]
 					if e.h != nil || e.id != 0 {
-						s.heapPush(timedEvent{at: at, event: e})
+						s.heapPush(at, e)
 					}
 				}
 				idx++
@@ -274,10 +292,9 @@ func (s *Scheduler) migrate() {
 
 // At schedules fn to run at real time t and returns an ID for Cancel.
 func (s *Scheduler) At(t Real, fn func()) EventID {
-	s.seq++
 	s.nextID++
 	s.live[s.nextID] = false
-	s.schedule(t, event{seq: s.seq, id: s.nextID, h: funcHandler(fn)})
+	s.schedule(t, event{id: s.nextID, h: funcHandler(fn)})
 	return s.nextID
 }
 
@@ -289,7 +306,7 @@ func (s *Scheduler) After(dl Duration, fn func()) EventID {
 // Post schedules fn to run at real time t without cancellation support:
 // no ID is assigned and no bookkeeping entry is created. Use it for
 // fire-and-forget events off the hot path (the delivery bulk goes through
-// PostHandler, which does not even box a closure).
+// PostArg and PostHandler, which do not even box a closure).
 func (s *Scheduler) Post(t Real, fn func()) {
 	s.PostHandler(t, funcHandler(fn))
 }
@@ -303,13 +320,19 @@ func (s *Scheduler) PostAfter(dl Duration, fn func()) {
 // support and without any allocation in the scheduler (the event is a
 // value in a bucket and h is caller-owned, typically pooled).
 func (s *Scheduler) PostHandler(t Real, h Handler) {
-	s.seq++
-	s.schedule(t, event{seq: s.seq, h: h})
+	s.schedule(t, event{h: h})
 }
 
 // PostHandlerAfter is PostHandler at dl ticks from now.
 func (s *Scheduler) PostHandlerAfter(dl Duration, h Handler) {
 	s.PostHandler(s.now.Add(dl), h)
+}
+
+// PostArg schedules h.RunEventArg(arg) at real time t, uncancellable and
+// allocation-free like PostHandler. Events posted against one handler
+// with different arguments share the handler's state.
+func (s *Scheduler) PostArg(t Real, h ArgHandler, arg uint64) {
+	s.schedule(t, event{id: argEvent, arg: arg, h: h})
 }
 
 // Cancel prevents a scheduled event from running. Cancelling an event that
@@ -347,7 +370,7 @@ func (s *Scheduler) peek() (Real, bool) {
 		if s.cursor < b.n {
 			s.seek(b)
 			e := &s.curChunk.ev[s.cursor-s.curBase]
-			if e.id != 0 && s.live[e.id] {
+			if e.id != 0 && e.id != argEvent && s.live[e.id] {
 				delete(s.live, e.id)
 				*e = event{} // release references
 				s.cursor++
@@ -384,16 +407,19 @@ func (s *Scheduler) Step() bool {
 	s.cursor++
 	// The consumed slot is NOT zeroed: its handler reference lives until
 	// the chunk is recycled and overwritten on a later bucket drain, which
-	// retains only pooled (already live) deliveries or an occasional
+	// retains only pooled (already live) send records or an occasional
 	// closure for a bounded time — where clearing 32 bytes per event is a
 	// measurable share of a large-n run.
-	if e.id != 0 {
-		delete(s.live, e.id)
-	}
 	s.now = at
 	s.processed++
-	if e.h != nil {
-		e.h.RunEvent()
+	switch {
+	case e.id == argEvent:
+		e.h.(ArgHandler).RunEventArg(e.arg)
+	case e.h != nil:
+		if e.id != 0 {
+			delete(s.live, e.id)
+		}
+		e.h.(Handler).RunEvent()
 	}
 	return true
 }
@@ -423,8 +449,9 @@ func (s *Scheduler) heapLess(i, j int) bool {
 	return s.overflow[i].seq < s.overflow[j].seq
 }
 
-func (s *Scheduler) heapPush(e timedEvent) {
-	s.overflow = append(s.overflow, e)
+func (s *Scheduler) heapPush(at Real, e event) {
+	s.seq++
+	s.overflow = append(s.overflow, timedEvent{at: at, seq: s.seq, event: e})
 	i := len(s.overflow) - 1
 	for i > 0 {
 		parent := (i - 1) / 2

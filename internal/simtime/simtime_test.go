@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSubAndAdd(t *testing.T) {
@@ -455,5 +456,119 @@ func TestSchedulerManyEventsSorted(t *testing.T) {
 	}
 	if len(fired) != 500 {
 		t.Errorf("fired %d events, want 500", len(fired))
+	}
+}
+
+// orderProbe is an ArgHandler recording each event's argument as its label.
+type orderProbe struct{ order *[]int }
+
+func (p orderProbe) RunEventArg(arg uint64) { *p.order = append(*p.order, int(arg)) }
+
+// labelHandler is a Handler recording its fixed label.
+type labelHandler struct {
+	order *[]int
+	label int
+}
+
+func (h labelHandler) RunEvent() { *h.order = append(*h.order, h.label) }
+
+func wantOrder(t *testing.T, got []int, want ...int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ran %v, want %v", got, want)
+		}
+	}
+}
+
+// postMix schedules labels first..first+2 at tick at through At,
+// PostHandler and PostArg, in that order.
+func postMix(s *Scheduler, order *[]int, at Real, first int) {
+	s.At(at, func() { *order = append(*order, first) })
+	s.PostHandler(at, labelHandler{order, first + 1})
+	s.PostArg(at, orderProbe{order}, uint64(first+2))
+}
+
+// TestSchedulerArgInterleaves: events at one tick run in schedule order
+// whichever of At, PostHandler and PostArg scheduled them.
+func TestSchedulerArgInterleaves(t *testing.T) {
+	s := NewScheduler()
+	var order []int
+	postMix(s, &order, 10, 1)
+	postMix(s, &order, 10, 4)
+	s.PostArg(5, orderProbe{&order}, 0)
+	s.RunUntil(100)
+	wantOrder(t, order, 0, 1, 2, 3, 4, 5, 6)
+	if got := s.Processed(); got != 7 {
+		t.Errorf("Processed = %d, want 7", got)
+	}
+}
+
+// TestSchedulerArgOrderThroughMigration: events parked in the overflow
+// heap keep their schedule order when their tick enters the wheel, and
+// events scheduled for that tick afterwards run after them.
+func TestSchedulerArgOrderThroughMigration(t *testing.T) {
+	s := NewScheduler()
+	var order []int
+	far := Real(3 * wheelSize)
+	postMix(s, &order, far, 1)
+	postMix(s, &order, far, 4)
+	s.Post(far-10, func() {
+		// far is inside the horizon now: these go straight to its bucket.
+		postMix(s, &order, far, 7)
+	})
+	s.RunUntil(far + 1)
+	wantOrder(t, order, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+}
+
+// TestSchedulerArgOrderThroughRewind: a rewind evacuates the wheel to the
+// heap and renumbers the events in bucket order; ties must keep schedule
+// order both for ticks that migrate straight back and for ticks left in
+// the heap beyond the new horizon.
+func TestSchedulerArgOrderThroughRewind(t *testing.T) {
+	s := NewScheduler()
+	var order []int
+	const near, far = Real(5000), Real(20000) // far: inside the old horizon only
+	postMix(s, &order, near, 10)
+	postMix(s, &order, far, 20)
+	s.RunUntil(1000)                       // the base hunts ahead to near; now stays 1000
+	s.PostArg(1100, orderProbe{&order}, 1) // behind the base: rewinds
+	postMix(s, &order, near, 13)
+	postMix(s, &order, far, 23)
+	s.RunUntil(far)
+	wantOrder(t, order, 1, 10, 11, 12, 13, 14, 15, 20, 21, 22, 23, 24, 25)
+}
+
+// TestSchedulerCancelBetweenArgs: a cancelled At between two PostArg events
+// at one tick neither runs nor disturbs its neighbours.
+func TestSchedulerCancelBetweenArgs(t *testing.T) {
+	s := NewScheduler()
+	var order []int
+	s.PostArg(10, orderProbe{&order}, 1)
+	id := s.At(10, func() { order = append(order, 99) })
+	s.PostArg(10, orderProbe{&order}, 2)
+	s.Cancel(id)
+	s.RunUntil(100)
+	wantOrder(t, order, 1, 2)
+	if got := s.Processed(); got != 2 {
+		t.Errorf("Processed = %d, want 2", got)
+	}
+	if len(s.live) != 0 {
+		t.Errorf("live map holds %d entries after drain, want 0", len(s.live))
+	}
+}
+
+// TestEventAndChunkSize pins the wheel's memory layout: a 32-byte event,
+// and a chunk that fits the 16 KiB allocator size class, so a new field
+// cannot silently double the in-flight memory of a broadcast storm.
+func TestEventAndChunkSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Errorf("event is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(chunk{}); got > 16<<10 {
+		t.Errorf("chunk is %d bytes, want at most 16 KiB", got)
 	}
 }
