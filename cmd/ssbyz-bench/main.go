@@ -103,7 +103,6 @@ type benchFlags struct {
 	jsonOut  *string
 	replay   *string
 	live     *bool
-	legacyW  *bool
 
 	cluster    *int
 	transport  *string
@@ -129,7 +128,6 @@ func defineFlags(fs *flag.FlagSet) *benchFlags {
 		jsonOut:  fs.String("json", "", "write the machine-readable suite to this file"),
 		replay:   fs.String("replay", "", "replay a scenario spec JSON file against the property battery on the runtime it names (skips the suite)"),
 		live:     fs.Bool("live", false, "append experiments L1, L2, L3, and L4 (live loopback sweeps, adversarial cells, and the ops campaign; wall-clock numbers) to the suite"),
-		legacyW:  fs.Bool("legacy-wire", false, "run live-runtime clusters with frame coalescing off (one datagram per frame); reports must be byte-identical to the coalesced wire"),
 
 		cluster:    fs.Int("cluster", 0, "run a live loopback cluster of this many nodes over real sockets (skips the suite)"),
 		transport:  fs.String("transport", "udp", "-cluster socket transport: udp (deadline drops) or tcp (lossless)"),
@@ -155,7 +153,6 @@ func run() error {
 		jsonOut  = f.jsonOut
 		replay   = f.replay
 		live     = f.live
-		legacyW  = f.legacyW
 
 		cluster    = f.cluster
 		transport  = f.transport
@@ -198,10 +195,9 @@ func run() error {
 	fmt.Fprintln(w, "# ss-Byz-Agree reproduction suite")
 	fmt.Fprintln(w)
 	suite, err := ssbyz.RunExperimentsSuite(w, ssbyz.ExperimentOptions{
-		Quick:      *quick,
-		Seeds:      *seeds,
-		Workers:    *parallel,
-		LegacyWire: *legacyW,
+		Quick:   *quick,
+		Seeds:   *seeds,
+		Workers: *parallel,
 	})
 	if err != nil {
 		return err
@@ -211,7 +207,7 @@ func run() error {
 			ssbyz.RunLiveExperiment, ssbyz.RunLiveServiceExperiment,
 			ssbyz.RunAdversarialLiveExperiment, ssbyz.RunOpsLiveExperiment,
 		} {
-			res, err := run(w, ssbyz.ExperimentOptions{Quick: *quick, LegacyWire: *legacyW})
+			res, err := run(w, ssbyz.ExperimentOptions{Quick: *quick})
 			if err != nil {
 				return err
 			}

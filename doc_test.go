@@ -159,8 +159,8 @@ func TestOpsLayerDocumented(t *testing.T) {
 
 // TestWireRateDocumented pins the §11 wire-rate documentation the code
 // cites ("DESIGN.md §11"): the batch-envelope section, the pump floor
-// vocabulary, and the README's perf subsection and -legacy-wire flag
-// row (flags_test pins the full table).
+// vocabulary, the digest test that pins the coalesced wire, and the
+// README's perf subsection (flags_test pins the flag table).
 func TestWireRateDocumented(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -174,7 +174,7 @@ func TestWireRateDocumented(t *testing.T) {
 		"sendmmsg",                  // the batched-syscall half
 		"Sharded ingest",            // the receive half
 		"udp_pump_msgs_per_sec_n16", // the artifact floor key the guard reads
-		"-legacy-wire",              // the off-switch behind the differential
+		"TestVirtualWireDigests",    // the pin on what the wire delivers
 	} {
 		if !strings.Contains(string(design), anchor) {
 			t.Errorf("DESIGN.md lost its wire-rate anchor %q", anchor)
@@ -186,9 +186,8 @@ func TestWireRateDocumented(t *testing.T) {
 	}
 	for _, anchor := range []string{
 		"### Wire rate: the live hot path",
-		"`-legacy-wire`", // the flag-table row
 		"BENCH_PR9_quick.json",
-		"TestBatchedVsLegacyWireReportsIdentical",
+		"TestVirtualWireDigests",
 	} {
 		if !strings.Contains(string(readme), anchor) {
 			t.Errorf("README.md lost its wire-rate anchor %q", anchor)

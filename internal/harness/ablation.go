@@ -99,7 +99,7 @@ func a1Run(opt Options, window simtime.Duration, adversarial bool, seed int) a1C
 		sc.DelayMin = pp.D / 4
 		sc.DelayMax = pp.D
 	}
-	res, err := opt.run(sc)
+	res, err := sim.Run(sc)
 	if err != nil {
 		c.miss = true
 		return c

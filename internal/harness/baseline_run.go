@@ -18,11 +18,10 @@ func runBaseline(opt Options, pp protocol.Params, seed int64, delta simtime.Dura
 		min = 1
 	}
 	w, err := simnet.New(simnet.Config{
-		Params:       pp,
-		Seed:         seed,
-		DelayMin:     min,
-		DelayMax:     delta,
-		LegacyFanout: opt.LegacyFanout,
+		Params:   pp,
+		Seed:     seed,
+		DelayMin: min,
+		DelayMax: delta,
 	})
 	if err != nil {
 		return nil, 0

@@ -117,7 +117,7 @@ type advCell struct {
 // runAdvCell runs the class's agreements on one fresh cluster. virtual
 // selects the fake-clock deterministic wire (V3) versus real UDP
 // loopback sockets (L3).
-func runAdvCell(class advClass, seed int64, virtual, legacy bool) advCell {
+func runAdvCell(class advClass, seed int64, virtual bool) advCell {
 	cellStart := time.Now()
 	var c advCell
 	fail := func(format string, args ...any) advCell {
@@ -131,7 +131,6 @@ func runAdvCell(class advClass, seed int64, virtual, legacy bool) advCell {
 	cfg := nettrans.ClusterConfig{
 		Params: pp, Tick: liveTick, Transport: nettrans.TransportUDP,
 		Conditions: class.conds, Seed: seed,
-		LegacyDatagramPerFrame: legacy,
 	}
 	if virtual {
 		cfg.Clock = clock.NewFake(time.Time{})
@@ -210,7 +209,7 @@ type recovCell struct {
 // observed time must land within Δstb = 2Δreset, and a probe agreement
 // after the window plus the battery over the post-recovery suffix prove
 // the system behaves as if the transient never happened.
-func runRecoveryCell(severityPermille int, seed int64, virtual, legacy bool) recovCell {
+func runRecoveryCell(severityPermille int, seed int64, virtual bool) recovCell {
 	cellStart := time.Now()
 	var c recovCell
 	fail := func(format string, args ...any) recovCell {
@@ -224,7 +223,6 @@ func runRecoveryCell(severityPermille int, seed int64, virtual, legacy bool) rec
 	c.budget = float64(pp.DeltaStb())
 	cfg := nettrans.ClusterConfig{
 		Params: pp, Tick: liveTick, Transport: nettrans.TransportUDP, Seed: seed,
-		LegacyDatagramPerFrame: legacy,
 	}
 	if virtual {
 		cfg.Clock = clock.NewFake(time.Time{})
@@ -425,7 +423,7 @@ func V3AdversarialLive(opt Options) *Result {
 	}
 	classes := advClasses()
 	grid := sweep(opt, classes, seeds, func(class advClass, seed int) advCell {
-		return runAdvCell(class, 7000+int64(seed), true, opt.LegacyWire)
+		return runAdvCell(class, 7000+int64(seed), true)
 	})
 	mt := metrics.NewTable(
 		fmt.Sprintf("attack/defense matrix (n=4, d = %d ticks, virtual time; counters summed over seeds)", liveD),
@@ -453,7 +451,7 @@ func V3AdversarialLive(opt Options) *Result {
 		rSeeds = 3
 	}
 	rGrid := sweep(opt, severities, rSeeds, func(sev, seed int) recovCell {
-		return runRecoveryCell(sev, 9000+int64(sev)*10+int64(seed), true, opt.LegacyWire)
+		return runRecoveryCell(sev, 9000+int64(sev)*10+int64(seed), true)
 	})
 	rt := metrics.NewTable(
 		fmt.Sprintf("in-situ recovery: every correct node of a RUNNING cluster corrupted mid-run (n=4, Δstb = %d ticks)", pp.DeltaStb()),
@@ -583,7 +581,7 @@ func L3AdversarialLive(opt Options) *Result {
 	for _, class := range classes {
 		var c advCell
 		for attempt := 0; ; attempt++ {
-			c = runAdvCell(class, 7000+int64(attempt), false, opt.LegacyWire)
+			c = runAdvCell(class, 7000+int64(attempt), false)
 			if !c.incomplete || attempt >= 2 {
 				retries += attempt
 				break
@@ -601,7 +599,7 @@ func L3AdversarialLive(opt Options) *Result {
 	// One wall-clock in-situ recovery cell: the Δstb window is real time
 	// here (Δstb ticks × tick length), so a single full-severity cell
 	// keeps the -live budget honest.
-	rc := runRecoveryCell(1000, 9001, false, opt.LegacyWire)
+	rc := runRecoveryCell(1000, 9001, false)
 	rt := metrics.NewTable(
 		fmt.Sprintf("in-situ recovery over real sockets (n=4, Δstb = %d ticks = %v)",
 			pp.DeltaStb(), time.Duration(pp.DeltaStb())*liveTick),

@@ -75,7 +75,7 @@ func runCampaignCell(opt Options, n, idx int) campaignCell {
 		if err != nil {
 			return nil, []string{"Spec: " + err.Error()}
 		}
-		res, err := opt.run(sc)
+		res, err := sim.Run(sc)
 		if err != nil {
 			return nil, []string{"Spec: " + err.Error()}
 		}

@@ -35,7 +35,7 @@ func E1ValidityLatency(opt Options) *Result {
 	cells := sweep(opt, ns, seeds, func(n, seed int) cell {
 		c := cell{allDecided: true}
 		sc, t0 := correctGeneralScenario(n, int64(seed), 0, 0)
-		res, err := opt.run(sc)
+		res, err := sim.Run(sc)
 		if err != nil {
 			c.note = fmt.Sprintf("n=%d seed=%d: %v", n, seed, err)
 			c.violations++
@@ -94,7 +94,7 @@ func E2AgreementSkew(opt Options) *Result {
 	correct := sweepSeeds(opt, seeds, func(seed int) cell {
 		var c cell
 		sc, _ := correctGeneralScenario(7, int64(seed), 0, 0)
-		res, err := opt.run(sc)
+		res, err := sim.Run(sc)
 		if err != nil {
 			c.violations++
 			return c
@@ -128,7 +128,7 @@ func E2AgreementSkew(opt Options) *Result {
 			},
 			RunFor: 4 * scPP.DeltaAgr(),
 		}
-		res, err := opt.run(sc)
+		res, err := sim.Run(sc)
 		if err != nil {
 			c.violations++
 			return c
@@ -203,7 +203,7 @@ func E3TerminationBound(opt Options) *Result {
 	}
 	cells := sweep(opt, idx, seeds, func(si, seed int) cell {
 		var c cell
-		res, err := opt.run(sim.Scenario{
+		res, err := sim.Run(sim.Scenario{
 			Params: pp,
 			Seed:   int64(seed),
 			Faulty: scenarios[si].faulty(int64(seed)),
@@ -299,7 +299,7 @@ func E4EarlyStopping(opt Options) *Result {
 		if fPrime == 0 {
 			sc.Initiations = []sim.Initiation{{At: simtime.Real(2 * pp.D), G: 0, Value: "e4"}}
 		}
-		res, err := opt.run(sc)
+		res, err := sim.Run(sc)
 		if err != nil {
 			c.violations++
 			return c
@@ -374,7 +374,7 @@ func runLatencyCell(opt Options, pp protocol.Params, seed int, delta simtime.Dur
 		min = 1
 	}
 	sc, t0 := correctGeneralScenario(pp.N, int64(seed), min, delta)
-	res, err := opt.run(sc)
+	res, err := sim.Run(sc)
 	if err != nil {
 		c.violations++
 	} else {

@@ -63,7 +63,7 @@ type liveCell struct {
 
 // runLiveCell runs one agreement on a fresh loopback cluster.
 func runLiveCell(n int, transport string, conds []simnet.Condition,
-	faulty map[protocol.NodeID]protocol.Node, legacy bool) liveCell {
+	faulty map[protocol.NodeID]protocol.Node) liveCell {
 	cellStart := time.Now()
 	var c liveCell
 	fail := func(format string, args ...any) liveCell {
@@ -77,7 +77,6 @@ func runLiveCell(n int, transport string, conds []simnet.Condition,
 	cl, err := nettrans.NewCluster(nettrans.ClusterConfig{
 		Params: pp, Tick: liveTick, Transport: transport,
 		Conditions: conds, Faulty: faulty,
-		LegacyDatagramPerFrame: legacy,
 	})
 	if err != nil {
 		return fail("cluster: %v", err)
@@ -118,10 +117,10 @@ func runLiveCell(n int, transport string, conds []simnet.Condition,
 // as-is: persistent non-decision IS signal, and a violated bound on a
 // complete run always is.
 func runLiveCellRetry(n int, transport string, conds []simnet.Condition,
-	faulty map[protocol.NodeID]protocol.Node, legacy bool) (liveCell, int) {
+	faulty map[protocol.NodeID]protocol.Node) (liveCell, int) {
 	var c liveCell
 	for attempt := 0; ; attempt++ {
-		c = runLiveCell(n, transport, conds, faulty, legacy)
+		c = runLiveCell(n, transport, conds, faulty)
 		if !c.incomplete || attempt >= 2 {
 			return c, attempt
 		}
@@ -188,7 +187,7 @@ func L1Live(opt Options) *Result {
 		cells := make([]liveCell, seeds)
 		for s := range cells {
 			var tries int
-			cells[s], tries = runLiveCellRetry(n, transport, conds, faulty, opt.LegacyWire)
+			cells[s], tries = runLiveCellRetry(n, transport, conds, faulty)
 			retries += tries
 		}
 		return cells
@@ -228,7 +227,7 @@ func L1Live(opt Options) *Result {
 	// lands in Floors, where the bench guard holds the committed artifact
 	// to the 10⁶ msgs/sec floor.
 	r.Floors = map[string]float64{}
-	l1PumpRow(r, cellWall, opt.LegacyWire)
+	l1PumpRow(r, cellWall)
 
 	r.CellWallMS = cellWall
 	r.Notes = append(r.Notes,
@@ -257,7 +256,7 @@ const l1PumpBroadcasts = 20000
 // aggregate rate is the transport's, not the protocol's. The rate lands
 // in r.Floors["udp_pump_msgs_per_sec_n16"]; the committed BENCH artifact
 // must prove ≥ 10⁶ there (bench_guard_test.go).
-func l1PumpRow(r *Result, cellWall map[string]float64, legacy bool) {
+func l1PumpRow(r *Result, cellWall map[string]float64) {
 	const n = 16
 	cellStart := time.Now()
 	pp := protocol.DefaultParams(n)
@@ -265,17 +264,12 @@ func l1PumpRow(r *Result, cellWall map[string]float64, legacy bool) {
 	// so receive-side lag must read as loss (kernel drops), never as
 	// late-frame rejections that would understate the stack's rate.
 	pp.D = 10000
-	mode := "coalesced"
-	if legacy {
-		mode = "legacy"
-	}
 	t := metrics.NewTable(
 		fmt.Sprintf("transport wire-rate pump (NullNode machines, %d broadcasts from one node, wall-clock)", l1PumpBroadcasts),
 		"mode", "n", "sent", "delivered", "delivered/sent", "msgs/sec", "batches", "frames/batch")
 	cl, err := nettrans.NewCluster(nettrans.ClusterConfig{
 		Params: pp, Tick: liveTick, Transport: nettrans.TransportUDP,
-		NewNode:                func() protocol.Node { return nettrans.NullNode{} },
-		LegacyDatagramPerFrame: legacy,
+		NewNode: func() protocol.Node { return nettrans.NullNode{} },
 	})
 	if err != nil {
 		r.Violations++
@@ -297,7 +291,7 @@ func l1PumpRow(r *Result, cellWall map[string]float64, legacy bool) {
 		perBatch = float64(bs.BatchedFrames) / float64(bs.BatchesSent)
 	}
 	rate := res.MsgsPerSec()
-	t.AddRow(mode, n, res.Sent, res.Received,
+	t.AddRow("coalesced", n, res.Sent, res.Received,
 		fmt.Sprintf("%.3f", ratio),
 		fmt.Sprintf("%.0f", rate),
 		bs.BatchesSent,

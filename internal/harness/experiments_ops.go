@@ -51,16 +51,15 @@ type opsCell struct {
 // runOpsCell executes one campaign and judges it: workload committed,
 // schedule executed, roll re-stabilized within Δstb, replay probe
 // rejected by every peer, final fleet health stabilized.
-func runOpsCell(n, roll int, seed int64, virtual, legacy bool) opsCell {
+func runOpsCell(n, roll int, seed int64, virtual bool) opsCell {
 	var c opsCell
 	fail := func(format string, args ...any) {
 		c.violations++
 		c.errs = append(c.errs, fmt.Sprintf("ops n=%d seed=%d: %s", n, seed, fmt.Sprintf(format, args...)))
 	}
 	cfg := ops.CampaignConfig{
-		Spec:       ops.QuickSpec(n, roll, liveD, seed),
-		Tick:       liveTick,
-		LegacyWire: legacy,
+		Spec: ops.QuickSpec(n, roll, liveD, seed),
+		Tick: liveTick,
 	}
 	if virtual {
 		cfg.Clock = clock.NewFake(time.Time{})
@@ -114,7 +113,7 @@ func V4OpsCampaign(opt Options) *Result {
 		configs = append(configs, v4Config{7, 3})
 	}
 	grid := sweep(opt, configs, seeds, func(cfg v4Config, seed int) opsCell {
-		return runOpsCell(cfg.n, cfg.roll, int64(cfg.n)*100+int64(seed), true, opt.LegacyWire)
+		return runOpsCell(cfg.n, cfg.roll, int64(cfg.n)*100+int64(seed), true)
 	})
 	t := metrics.NewTable(
 		fmt.Sprintf("ops campaign over the virtual wire (d = %d ticks; scale@10d, roll@22d; all columns deterministic)", liveD),
@@ -149,7 +148,7 @@ func V4OpsCampaign(opt Options) *Result {
 
 	// The determinism gate: the same spec and seed must reproduce the
 	// campaign byte for byte — report and full sorted trace.
-	base := runOpsCell(configs[0].n, configs[0].roll, int64(configs[0].n)*100, true, opt.LegacyWire)
+	base := runOpsCell(configs[0].n, configs[0].roll, int64(configs[0].n)*100, true)
 	if !bytes.Equal(base.canon, grid[0][0].canon) {
 		r.Violations++
 		r.Notes = append(r.Notes, fmt.Sprintf(
@@ -187,7 +186,7 @@ func L4OpsLive(opt Options) *Result {
 	for seed := 0; seed < seeds; seed++ {
 		var c opsCell
 		for attempt := 0; ; attempt++ {
-			c = runOpsCell(4, 2, 9100+int64(seed)+1000*int64(attempt), false, opt.LegacyWire)
+			c = runOpsCell(4, 2, 9100+int64(seed)+1000*int64(attempt), false)
 			if c.violations == 0 || attempt >= 2 {
 				retries += attempt
 				break

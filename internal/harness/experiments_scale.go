@@ -7,6 +7,7 @@ import (
 	"ssbyz/internal/check"
 	"ssbyz/internal/metrics"
 	"ssbyz/internal/protocol"
+	"ssbyz/internal/sim"
 )
 
 // ScalingNs is the committee-size sweep of experiment S1. Unlike the
@@ -62,7 +63,7 @@ func runScaleCell(opt Options, n, seed int) scaleCell {
 	var c scaleCell
 	pp := protocol.DefaultParams(n)
 	sc, t0 := correctGeneralScenario(n, int64(seed), pp.D/2, pp.D)
-	res, err := opt.run(sc)
+	res, err := sim.Run(sc)
 	if err != nil {
 		c.violations++
 		return c

@@ -65,8 +65,7 @@ func runServiceCell(opt Options, sessions, entries, seed int) svcCell {
 	arrivals := service.PoissonArrivals(int64(1000*sessions+seed),
 		simtime.Real(2*pp.D), svcMeanGap(pp), entries)
 	res, err := service.RunSim(service.SimConfig{
-		Scenario: sim.Scenario{Params: pp, Seed: int64(7000*sessions + seed),
-			LegacyFanout: opt.LegacyFanout},
+		Scenario: sim.Scenario{Params: pp, Seed: int64(7000*sessions + seed)},
 		Sessions: sessions,
 		Loads:    []service.Workload{{G: 0, Arrivals: arrivals}},
 	})

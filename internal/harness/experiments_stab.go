@@ -72,7 +72,7 @@ func convergenceTime(opt Options, pp protocol.Params, seed int64) (simtime.Durat
 		},
 		RunFor: runFor,
 	}
-	res, err := opt.run(sc)
+	res, err := sim.Run(sc)
 	if err != nil {
 		return 0, false, 1
 	}
@@ -142,7 +142,7 @@ func E7FaultyGeneralAgreement(opt Options) *Result {
 	}
 	cells := sweepSeeds(opt, seeds, func(seed int) cell {
 		var c cell
-		res, err := opt.run(sim.Scenario{
+		res, err := sim.Run(sim.Scenario{
 			Params: pp,
 			Seed:   int64(seed),
 			Faulty: map[protocol.NodeID]protocol.Node{
@@ -224,7 +224,7 @@ func E8InitiatorAccept(opt Options) *Result {
 		var c ia1Cell
 		pp := protocol.DefaultParams(n)
 		sc, t0 := correctGeneralScenario(n, int64(seed), 0, 0)
-		res, err := opt.run(sc)
+		res, err := sim.Run(sc)
 		if err != nil {
 			c.violations++
 			return c
@@ -265,7 +265,7 @@ func E8InitiatorAccept(opt Options) *Result {
 	}
 	ia4 := sweepSeeds(opt, seeds, func(seed int) ia4Cell {
 		var c ia4Cell
-		res, err := opt.run(sim.Scenario{
+		res, err := sim.Run(sim.Scenario{
 			Params: pp,
 			Seed:   int64(seed),
 			Faulty: map[protocol.NodeID]protocol.Node{
@@ -314,7 +314,7 @@ func E9MsgdBroadcast(opt Options) *Result {
 	tps1 := sweepSeeds(opt, seeds, func(seed int) tps1Cell {
 		var c tps1Cell
 		sc, _ := correctGeneralScenario(7, int64(seed), 0, 0)
-		res, err := opt.run(sc)
+		res, err := sim.Run(sc)
 		if err != nil {
 			c.violations++
 			return c
@@ -365,7 +365,7 @@ func E9MsgdBroadcast(opt Options) *Result {
 	}
 	tps2 := sweepSeeds(opt, seeds, func(seed int) tps2Cell {
 		var c tps2Cell
-		res, err := opt.run(sim.Scenario{
+		res, err := sim.Run(sim.Scenario{
 			Params: pp,
 			Seed:   int64(seed),
 			Faulty: map[protocol.NodeID]protocol.Node{
@@ -417,7 +417,7 @@ func E10MessageComplexity(opt Options) *Result {
 	cells := sweep(opt, ns, seeds, func(n, seed int) cell {
 		var c cell
 		sc, _ := correctGeneralScenario(n, int64(seed), 0, 0)
-		res, err := opt.run(sc)
+		res, err := sim.Run(sc)
 		if err != nil {
 			c.violations++
 			return c

@@ -40,7 +40,7 @@ type virtCell struct {
 // randomness is the wire seed; equal arguments give equal cells, which is
 // what lets the sweep fan out across workers without losing determinism.
 func runVirtualCell(n int, transport string, conds []simnet.Condition,
-	faulty map[protocol.NodeID]protocol.Node, seed int64, legacy bool) virtCell {
+	faulty map[protocol.NodeID]protocol.Node, seed int64) virtCell {
 	var c virtCell
 	fail := func(format string, args ...any) virtCell {
 		c.violations++
@@ -53,7 +53,6 @@ func runVirtualCell(n int, transport string, conds []simnet.Condition,
 		Params: pp, Tick: liveTick, Transport: transport,
 		Conditions: conds, Faulty: faulty,
 		Clock: clock.NewFake(time.Time{}), Seed: seed,
-		LegacyDatagramPerFrame: legacy,
 	})
 	if err != nil {
 		return fail("cluster: %v", err)
@@ -147,7 +146,7 @@ func V1VirtualLive(opt Options) *Result {
 	}
 	grid := sweep(opt, configs, seeds, func(cfg virtConfig, seed int) virtCell {
 		return runVirtualCell(cfg.n, cfg.transport, cfg.conds, cfg.faulty,
-			int64(cfg.n)*1000+int64(seed), opt.LegacyWire)
+			int64(cfg.n)*1000+int64(seed))
 	})
 	t := metrics.NewTable(
 		fmt.Sprintf("virtual-time live agreement (d = %d ticks; all columns deterministic)", liveD),

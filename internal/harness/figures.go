@@ -96,7 +96,7 @@ func F3RecoveryTimeline(opt Options) *Result {
 			})
 		}
 		seed64 := int64(seed)
-		res, err := opt.run(sim.Scenario{
+		res, err := sim.Run(sim.Scenario{
 			Params:      pp,
 			Seed:        seed64,
 			Initiations: inits,
@@ -180,7 +180,6 @@ func F4PulseSkew(opt Options) *Result {
 		c := cell{skews: make(map[int]float64)}
 		w, err := simnet.New(simnet.Config{
 			Params: pp, Seed: int64(seed), DelayMin: pp.D / 2, DelayMax: pp.D,
-			LegacyFanout: opt.LegacyFanout,
 		})
 		if err != nil {
 			c.violations++

@@ -38,29 +38,10 @@ type Options struct {
 	// runtime.GOMAXPROCS(0)). Output is byte-identical for every value:
 	// parallelism only reorders execution, never presentation.
 	Workers int
-	// LegacyFanout runs every simulated world on the per-recipient
-	// broadcast delivery path instead of the batched one. The suite's
-	// output must be byte-identical either way (the differential tests
-	// assert it); the flag exists only to demonstrate that.
-	LegacyFanout bool
-	// LegacyWire runs every live-runtime cluster (the nettrans pipeline
-	// behind L1/L3 and their deterministic mirrors V1/V3) with frame
-	// coalescing off: one datagram per frame, exactly the pre-batching
-	// wire. Like LegacyFanout, the reports must be byte-identical either
-	// way — the wire differential tests assert it.
-	LegacyWire bool
 
 	// pool, when set by RunAll, is the token pool shared by every sweep of
 	// every overlapping experiment.
 	pool chan struct{}
-}
-
-// run executes a scenario with the options' delivery-path choice applied.
-// Every experiment cell goes through here, so the whole suite honors
-// LegacyFanout.
-func (o Options) run(sc sim.Scenario) (*sim.Result, error) {
-	sc.LegacyFanout = o.LegacyFanout
-	return sim.Run(sc)
 }
 
 // seeds returns the effective repetition count.

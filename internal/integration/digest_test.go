@@ -103,9 +103,10 @@ var wantDigests = map[string]string{
 	"drift":     "6c324ae54a2ea654808b5f904dfc686f15829b1779eb03b57d3c4390a86e1891",
 }
 
-// TestSimulatorDigests pins simulator output from one commit to the next
-// (the batched-vs-legacy differentials only compare two paths of the same
-// build).
+// TestSimulatorDigests pins simulator output from one commit to the next.
+// "wide" and "narrow" sit on either side of the fan-out cutover, so both
+// delivery paths are pinned; TestBatchedFanoutMatchesPerRecipient (simnet)
+// pins them to each other within one build.
 func TestSimulatorDigests(t *testing.T) {
 	for name, sc := range digestScenarios() {
 		t.Run(name, func(t *testing.T) {

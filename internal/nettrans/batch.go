@@ -10,12 +10,12 @@ import (
 //
 // A protocol event handler typically emits a burst of sends — a
 // broadcast is n point-to-point frames, a round change can fan out
-// several broadcasts back-to-back. The legacy wire paid one datagram
-// (and one syscall, and one receive-loop wakeup, and one mailbox
-// enqueue at the receiver) per frame. The coalescer instead parks each
-// immediate-path frame in a per-peer pending buffer and flushes all
-// peers once the burst is over: every frame the current run of event-
-// handler work produced for a peer leaves in ONE FrameBatch datagram.
+// several broadcasts back-to-back. One datagram per frame would pay one
+// syscall, one receive-loop wakeup and one mailbox enqueue at the
+// receiver per frame. The coalescer instead parks each immediate-path
+// frame in a per-peer pending buffer and flushes all peers once the
+// burst is over: every frame the current run of event-handler work
+// produced for a peer leaves in ONE FrameBatch datagram.
 //
 // "Once the burst is over" is expressed with the mailbox itself: the
 // first frame parked after a flush enqueues the flush as an event, so
@@ -132,8 +132,8 @@ func (co *coalescer) emit(to protocol.NodeID, p *pendingPeer) {
 }
 
 // pack turns a peer's pending frames into the bytes to put on the wire
-// and resets the pending state. A lone frame ships raw — no container,
-// byte-identical to the legacy wire — so batching only ever appears on
+// and resets the pending state. A lone frame ships raw — a plain
+// FrameMessage datagram, no container — so batching only ever appears on
 // the wire when it actually coalesces.
 func (co *coalescer) pack(to protocol.NodeID, p *pendingPeer) []byte {
 	nn := co.nn

@@ -5,19 +5,17 @@ import (
 	"time"
 
 	"ssbyz/internal/clock"
-	"ssbyz/internal/core"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simnet"
-	"ssbyz/internal/simtime"
 	"ssbyz/internal/wire"
 )
 
 // This file is the coalesced-wire battery: the FrameBatch container and
 // the send-side coalescer must change only HOW frames cross the wire,
-// never what any node observes. The differential tests pin the batched
-// pipeline to the legacy datagram-per-frame one byte for byte on the
-// deterministic virtual wire; the white-box tests pin the container's
-// receive-side semantics (a corrupt inner frame costs exactly itself).
+// never what any node observes. TestVirtualWireDigests pins what nodes
+// observe on the deterministic virtual wire; the white-box tests here pin
+// the container's receive-side semantics (a corrupt inner frame costs
+// exactly itself) and the record half of record/replay.
 
 // batchFor wraps the given inner frames (already encoded) into one
 // FrameBatch container datagram from the given sender.
@@ -110,77 +108,6 @@ func TestBatchBrokenInnerFramingAdmitsHead(t *testing.T) {
 	}
 }
 
-// batchDiffConds is the attack schedule of the wire differential: byte
-// corruption on the faulty node's NIC plus duplication on every link —
-// the two classes that stress the coalescer hardest (corrupt inner
-// frames riding containers, chaos copies multiplying pending frames).
-func batchDiffConds() []simnet.Condition {
-	return []simnet.Condition{
-		{Kind: simnet.CondCorrupt, From: 0, Until: attackWindow, Nodes: []protocol.NodeID{1}},
-		{Kind: simnet.CondDuplicate, From: 0, Until: attackWindow, Copies: 2},
-	}
-}
-
-// runWireModeCell runs one virtual agreement with the given wire mode
-// and returns everything observable: the cluster's stats, batch stats,
-// and the full canonical trace.
-func runWireModeCell(t *testing.T, legacy bool, seed int64) (Stats, BatchStats, []protocol.TraceEvent) {
-	t.Helper()
-	pp := protocol.DefaultParams(4)
-	pp.D = 50
-	c, err := NewCluster(ClusterConfig{
-		Params: pp, Tick: time.Millisecond,
-		Clock: clock.NewFake(time.Time{}), Seed: seed,
-		Conditions:             batchDiffConds(),
-		Faulty:                 map[protocol.NodeID]protocol.Node{1: core.NewNode()},
-		LegacyDatagramPerFrame: legacy,
-	})
-	if err != nil {
-		t.Fatalf("NewCluster(legacy=%v): %v", legacy, err)
-	}
-	t.Cleanup(c.Stop)
-	budget := time.Duration(pp.DeltaAgr()+20*pp.D) * c.Tick()
-	if _, _, err := c.Initiate(0, 0, "wire-diff"); err != nil {
-		t.Fatalf("initiate(legacy=%v): %v", legacy, err)
-	}
-	if done := c.AwaitDecisions(0, "wire-diff", budget); done != len(c.Correct()) {
-		t.Fatalf("legacy=%v: decided %d/%d (stats %+v)", legacy, done, len(c.Correct()), c.Stats())
-	}
-	flushInFlight(c)
-	res := c.Result(simtime.Duration(c.NowTicks()) + 1)
-	return c.Stats(), c.BatchStats(), res.Rec.Events()
-}
-
-// TestBatchedVsLegacyWireVirtualIdentical is the wire differential at
-// its strongest: the same seeded virtual cluster under an active attack
-// schedule, run once coalesced and once datagram-per-frame, must produce
-// the identical full trace — every event, instant for instant — and the
-// identical 15-counter Stats vector, while BatchStats proves the two
-// runs really took different wire paths.
-func TestBatchedVsLegacyWireVirtualIdentical(t *testing.T) {
-	for seed := int64(40); seed < 43; seed++ {
-		sB, bB, evB := runWireModeCell(t, false, seed)
-		sL, bL, evL := runWireModeCell(t, true, seed)
-		if bB.BatchesSent == 0 || bB.BatchedFrames == 0 {
-			t.Fatalf("seed %d: batched run coalesced nothing: %+v", seed, bB)
-		}
-		if bL.BatchesSent != 0 || bL.BatchedFrames != 0 {
-			t.Fatalf("seed %d: legacy run sent containers: %+v", seed, bL)
-		}
-		if sB != sL {
-			t.Fatalf("seed %d: stats differ:\nbatched: %+v\nlegacy:  %+v", seed, sB, sL)
-		}
-		if len(evB) != len(evL) {
-			t.Fatalf("seed %d: %d trace events (batched) != %d (legacy)", seed, len(evB), len(evL))
-		}
-		for i := range evB {
-			if evB[i] != evL[i] {
-				t.Fatalf("seed %d: trace event %d differs:\nbatched: %+v\nlegacy:  %+v", seed, i, evB[i], evL[i])
-			}
-		}
-	}
-}
-
 // TestCapturedBatchContainersExpand pins the record half of
 // record/replay against the container format: every FrameBatch datagram
 // the virtual wire captured must expand through wire.ReadBatch into
@@ -244,28 +171,5 @@ func TestCapturedBatchContainersExpand(t *testing.T) {
 	}
 	if innerTotal != bs.BatchedFrames {
 		t.Fatalf("captured containers hold %d inner frames, coalescers report %d", innerTotal, bs.BatchedFrames)
-	}
-}
-
-// TestLegacyWireFlagLiveCluster pins the off-switch on the wall-clock
-// path: a real loopback UDP cluster with coalescing disabled completes
-// its agreement with zero containers on the wire.
-func TestLegacyWireFlagLiveCluster(t *testing.T) {
-	pp := liveParams(4)
-	c, err := NewCluster(ClusterConfig{
-		Params: pp, Transport: TransportUDP, LegacyDatagramPerFrame: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	if _, _, err := c.Initiate(0, 0, "legacy-live"); err != nil {
-		t.Fatalf("Initiate: %v", err)
-	}
-	if done := c.AwaitDecisions(0, "legacy-live", 10*time.Second); done != pp.N {
-		t.Fatalf("decided %d/%d (stats %+v)", done, pp.N, c.Stats())
-	}
-	if bs := c.BatchStats(); bs.BatchesSent != 0 || bs.BatchedFrames != 0 {
-		t.Fatalf("legacy cluster sent containers: %+v", bs)
 	}
 }

@@ -81,11 +81,6 @@ type ClusterConfig struct {
 	// absent slot later (the orchestrator's scale-up operation), after
 	// which it converges like any node recovering from a transient.
 	Absent []protocol.NodeID
-	// LegacyDatagramPerFrame switches every node to the pre-batching
-	// one-datagram-per-frame wire (see NodeConfig). The batched-vs-legacy
-	// differential tests run the same campaign under both settings and
-	// require byte-identical results.
-	LegacyDatagramPerFrame bool
 }
 
 // NewCluster binds n loopback sockets (ephemeral ports), distributes the
@@ -182,18 +177,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // the wall path hand it to StartWith; the virtual path overrides Clock.
 func (c *Cluster) nodeConfig(id protocol.NodeID) NodeConfig {
 	return NodeConfig{
-		ID:                     id,
-		Params:                 c.cfg.Params,
-		Tick:                   c.cfg.Tick,
-		Transport:              c.cfg.Transport,
-		Peers:                  c.peers,
-		Epoch:                  c.epoch,
-		Incarnation:            c.incarnations[id],
-		PeerIncarnations:       append([]uint64(nil), c.incarnations...),
-		Rec:                    c.rec,
-		Conditions:             c.cfg.Conditions,
-		Clock:                  c.cfg.Clock,
-		LegacyDatagramPerFrame: c.cfg.LegacyDatagramPerFrame,
+		ID:               id,
+		Params:           c.cfg.Params,
+		Tick:             c.cfg.Tick,
+		Transport:        c.cfg.Transport,
+		Peers:            c.peers,
+		Epoch:            c.epoch,
+		Incarnation:      c.incarnations[id],
+		PeerIncarnations: append([]uint64(nil), c.incarnations...),
+		Rec:              c.rec,
+		Conditions:       c.cfg.Conditions,
+		Clock:            c.cfg.Clock,
 	}
 }
 
@@ -456,9 +450,10 @@ func (c *Cluster) Result(horizon simtime.Duration) *sim.Result {
 // simulator provides for free) and wrapped in the sim.Result form every
 // checker consumes. Same-instant events are ordered by node, so the
 // shaped trace is canonical: two runs that traced the same events in a
-// different same-tick interleaving (e.g. the batched and legacy wires)
-// shape to identical results. correct lists the node ids running correct
-// state machines; horizon is the run's extent in ticks.
+// different same-tick interleaving (e.g. frames packed into different
+// batch containers) shape to identical results. correct lists the node
+// ids running correct state machines; horizon is the run's extent in
+// ticks.
 func BuildResult(pp protocol.Params, events []protocol.TraceEvent,
 	correct []protocol.NodeID, horizon simtime.Duration) *sim.Result {
 	sort.SliceStable(events, func(i, j int) bool {

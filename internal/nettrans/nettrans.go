@@ -99,13 +99,6 @@ type NodeConfig struct {
 	// drops, and every chaos/protocol timer (default clock.Real()). The
 	// virtual cluster injects a shared *clock.Fake here.
 	Clock clock.Clock
-	// LegacyDatagramPerFrame disables the send-side frame coalescer: every
-	// protocol message rides its own datagram, exactly the pre-batching
-	// wire behaviour. The receive pipeline always understands batch
-	// containers, so mixed clusters interoperate; the flag exists to prove
-	// (differentially) that coalescing changes only how bytes are packed,
-	// never what any node observes.
-	LegacyDatagramPerFrame bool
 }
 
 // Stats counts the transport's traffic and drop classes. All counters are
@@ -198,15 +191,15 @@ func (s *Stats) Add(other Stats) {
 
 // BatchStats counts the frame coalescer's packing work. Deliberately kept
 // OUTSIDE Stats: the 15-counter vector is the FrameStats schema shared
-// with older daemons and the byte-identity surface of the batched-vs-
-// legacy differential — coalescing must change how bytes are packed, not
-// what any counter observes.
+// with older daemons, and it counts what nodes observe, which coalescing
+// must not change — only how bytes are packed. TestVirtualWireDigests
+// hashes Stats, never BatchStats, with the trace.
 type BatchStats struct {
 	// BatchesSent counts multi-frame container datagrams written.
 	BatchesSent int64
 	// BatchedFrames counts inner frames that rode inside those containers.
-	// Single-frame flushes go out raw (byte-identical to the legacy wire)
-	// and are counted by neither field.
+	// Single-frame flushes go out raw (a plain FrameMessage datagram, no
+	// container) and are counted by neither field.
 	BatchedFrames int64
 }
 
@@ -262,8 +255,8 @@ type NetNode struct {
 
 	// payloadScratch/frameScratch back the allocation-free immediate-send
 	// path. Safe without a lock: protocol.Runtime's contract is that all
-	// methods are called from the node's single event loop, and both
-	// socket writes copy the bytes before returning.
+	// methods are called from the node's single event loop, and the
+	// coalescer copies the bytes before returning.
 	payloadScratch, frameScratch []byte
 
 	// dedup is the receive-side duplicate-suppression window (the defense
@@ -391,9 +384,7 @@ func startNode(cfg NodeConfig, node protocol.Node, mkTrans func(*NetNode) (trans
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.LegacyDatagramPerFrame {
-		nn.co = newCoalescer(nn)
-	}
+	nn.co = newCoalescer(nn)
 	nn.wg.Add(1)
 	go func() {
 		defer nn.wg.Done()
@@ -499,7 +490,9 @@ func (nn *NetNode) Send(to protocol.NodeID, m protocol.Message) {
 
 // sendPlanned executes one resolved chaos plan: encode, inject whatever
 // the plan orders, ship. Split from Send so Broadcast can route only
-// chaos-touched links through it.
+// chaos-touched links through it. Forged and replayed frames join the
+// coalescer like real traffic, so attack frames keep their position in
+// the per-link frame order.
 func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simtime.Real, plan sendPlan) {
 	if plan.drop {
 		nn.chaosDrops.Add(1)
@@ -528,7 +521,7 @@ func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simti
 			Payload: nn.payloadScratch,
 		})
 		nn.forgeFrames.Add(1)
-		nn.deliverNow(to, forged)
+		nn.co.add(to, forged)
 	}
 	if plan.replay {
 		if e := nn.chaos.pickReplay(now, plan.replayLag, plan.replayCross); e != nil {
@@ -544,7 +537,7 @@ func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simti
 				Payload: e.payload,
 			})
 			nn.replayFrames.Add(1)
-			nn.deliverNow(e.to, replayed)
+			nn.co.add(e.to, replayed)
 		}
 	}
 	nn.frameScratch = wire.AppendFrame(nn.frameScratch[:0], wire.Frame{
@@ -564,39 +557,25 @@ func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simti
 	copies := 1 + plan.dups
 	nn.dupFrames.Add(int64(plan.dups))
 	if plan.delay <= 0 {
-		// Both sinks copy the bytes before returning (the coalescer into
-		// its per-peer buffer, the socket into the kernel), so the scratch
-		// is free for the next Send: zero allocations at steady state.
+		// The coalescer copies the bytes into its per-peer buffer before
+		// returning, so the scratch is free for the next Send: zero
+		// allocations at steady state.
 		for i := 0; i < copies; i++ {
-			nn.deliverNow(to, nn.frameScratch)
+			nn.co.add(to, nn.frameScratch)
 		}
 		return
 	}
 	// A chaos-delayed frame outlives this call; it needs its own copy. It
-	// bypasses the coalescer in both modes: its delivery tick is set by
-	// its own timer, not by the burst it was born in, so batching it with
-	// unrelated later traffic would change the schedule the legacy wire
-	// produces.
+	// goes straight to the socket when its timer fires: the timer runs off
+	// the event loop, where the coalescer's unlocked state must not be
+	// touched, and the frame's delivery tick is its own, not the tick of
+	// whatever burst is in flight then.
 	frame := append([]byte(nil), nn.frameScratch...)
 	nn.timers.AfterFunc(time.Duration(plan.delay)*nn.cfg.Tick, func() {
 		for i := 0; i < copies; i++ {
 			nn.trans.send(to, frame)
 		}
 	})
-}
-
-// deliverNow hands one encoded frame to the wire on the immediate path:
-// through the coalescer when batching is on (the frame joins this event-
-// handler burst's per-peer batch), straight to the socket in legacy mode.
-// Forged and replayed frames take this path too — attack traffic must
-// keep its position in the per-link frame order, or the batched and
-// legacy wires would present receivers with different sequences.
-func (nn *NetNode) deliverNow(to protocol.NodeID, frame []byte) {
-	if nn.co != nil {
-		nn.co.add(to, frame)
-		return
-	}
-	nn.trans.send(to, frame)
 }
 
 // Broadcast implements protocol.Runtime: n point-to-point sends, the
@@ -631,7 +610,7 @@ func (nn *NetNode) Broadcast(m protocol.Message) {
 		}
 		// The replay attacker records the REAL traffic, per link.
 		nn.chaos.capture(to, int64(now), nn.payloadScratch)
-		nn.deliverNow(to, nn.frameScratch)
+		nn.co.add(to, nn.frameScratch)
 	}
 }
 
@@ -819,8 +798,8 @@ func (nn *NetNode) handleBatch(f wire.Frame, auth func(protocol.NodeID) bool) {
 	msgs := make([]protocol.Message, 0, wire.MaxBatchFrames/8)
 	// One clock read admits the whole container: every inner frame shares
 	// the batch's arrival instant (virtual deliveries of one cascade all
-	// happen at the same fake-clock tick, so this is also what keeps the
-	// batched and legacy wires' deadline decisions identical).
+	// happen at the same fake-clock tick, so each inner frame meets the
+	// deadline check exactly as it would have arriving alone).
 	now := nn.nowTicks()
 	for {
 		raw, ok := r.Next()

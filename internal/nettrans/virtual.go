@@ -25,10 +25,12 @@ import (
 // reproducibility: a seeded run's trace is byte-identical across
 // executions (DESIGN.md §9).
 //
-// The wire's delivery schedule is built to be identical whether the
-// sender coalesces frames into batch containers or ships one datagram
-// per frame — that invariant is what the batched-vs-legacy differential
-// tests pin, and three design points carry it:
+// The wire's delivery schedule is built to be independent of how the
+// sender packs frames into datagrams. Which frames share a batch
+// container depends on when each node's coalescer flush runs relative to
+// other goroutines, so the packing varies from run to run; what nodes
+// observe must not. TestVirtualWireDigests pins the trace and the Stats
+// vector with committed digests, and three design points carry it:
 //
 //   - Per-link delay draws. Every frame's delay is a pure function of
 //     (seed, from, to, per-link sequence number), drawn when the frame
@@ -44,7 +46,7 @@ import (
 //     first thing in its own body — fires each tick's bucket sorted by
 //     (to, from, seq). No timer registration order ever depends on when
 //     traffic happened to be scheduled, so the fake clock's global
-//     timer sequence is identical across wire modes.
+//     timer sequence is identical however frames were packed.
 //   - The half-tick offset with delay ≥ 1. The pump fires at tick
 //     boundary + tick/2, and every frame is delivered at least one full
 //     tick after its scheduling instant, so a bucket is always complete
@@ -131,7 +133,7 @@ func (t *memTransport) send(to protocol.NodeID, frame []byte) {
 	})
 	if f, n, err := wire.DecodeFrame(cp); err == nil && n == len(cp) && f.Kind == wire.FrameBatch {
 		// Unpack at send time: every inner frame draws its own per-link
-		// delay and travels alone, exactly as on the legacy wire. Inner
+		// delay and travels alone, exactly as if it had shipped raw. Inner
 		// frame *content* is not inspected here — a chaos-corrupted inner
 		// frame must still draw its delay and fail at the receiver, as it
 		// would have unbatched.

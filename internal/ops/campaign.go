@@ -29,9 +29,6 @@ type CampaignConfig struct {
 	// Clock switches to deterministic virtual time when it is a
 	// *clock.Fake (nil = wall clock).
 	Clock clock.Clock
-	// LegacyWire disables frame coalescing (one datagram per frame), for
-	// the wire differential suite. Reports must be identical either way.
-	LegacyWire bool
 }
 
 // ScaleReport is one executed scale-up step.
@@ -137,8 +134,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
 		Clock:     cfg.Clock,
 		Seed:      spec.Seed,
 		Absent:    spec.ScaleTargets(),
-
-		LegacyDatagramPerFrame: cfg.LegacyWire,
 	}
 	if sessions > 1 {
 		ccfg.NewNode = func() protocol.Node { return indexed.NewNode(sessions) }

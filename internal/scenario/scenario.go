@@ -368,8 +368,7 @@ func (a AdversarySpec) build() (protocol.Node, error) {
 	}
 }
 
-// Scenario lowers the spec into the simulator's vocabulary. The caller
-// owns delivery-path flags (LegacyFanout etc.) on the returned value.
+// Scenario lowers the spec into the simulator's vocabulary.
 func (sp Spec) Scenario() (sim.Scenario, error) {
 	if sp.LiveRuntime() {
 		return sim.Scenario{}, fmt.Errorf("scenario: %q runtime specs run on the cluster (RunLive), not the simulator", sp.Runtime)

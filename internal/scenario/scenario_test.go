@@ -5,13 +5,9 @@ import (
 	"testing"
 
 	"ssbyz/internal/protocol"
-	"ssbyz/internal/sim"
 	"ssbyz/internal/simnet"
 	"ssbyz/internal/simtime"
 )
-
-// simRun aliases sim.Run for the differential test's readability.
-var simRun = sim.Run
 
 func TestGeneratedSpecsAreValidAndDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
@@ -217,47 +213,5 @@ func TestWeakenedCheckerYieldsMinimizedReplayableSpec(t *testing.T) {
 	_, vB := RunCheck(back)
 	if !reflect.DeepEqual(vA, vB) {
 		t.Fatalf("replay verdicts differ: %v vs %v", vA, vB)
-	}
-}
-
-// TestScenarioLegacyConditionsDifferential pins the conditions-on world
-// against the bypassed machinery on a schedule-free spec, end to end
-// through the scenario layer: identical traces, counts, and battery
-// verdicts.
-func TestScenarioLegacyConditionsDifferential(t *testing.T) {
-	sp := Generate(3, 7)
-	sp.Conditions = nil
-	run := func(legacy bool) ([]protocol.TraceEvent, int64, []string) {
-		sc, err := sp.Scenario()
-		if err != nil {
-			t.Fatalf("Scenario: %v", err)
-		}
-		sc.LegacyConditions = legacy
-		res, err := simRun(sc)
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		total, _ := res.World.MessageCount()
-		var vs []string
-		for _, v := range Check(res, sp) {
-			vs = append(vs, v.String())
-		}
-		return res.Rec.Events(), total, vs
-	}
-	evOn, totOn, vOn := run(false)
-	evOff, totOff, vOff := run(true)
-	if totOn != totOff {
-		t.Fatalf("message counts differ: %d vs %d", totOn, totOff)
-	}
-	if !reflect.DeepEqual(vOn, vOff) {
-		t.Fatalf("verdicts differ: %v vs %v", vOn, vOff)
-	}
-	if len(evOn) != len(evOff) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(evOn), len(evOff))
-	}
-	for i := range evOn {
-		if evOn[i] != evOff[i] {
-			t.Fatalf("trace event %d differs: %+v vs %+v", i, evOn[i], evOff[i])
-		}
 	}
 }

@@ -59,18 +59,10 @@ type Scenario struct {
 	Drive func(w *simnet.World)
 	// RunFor is the virtual real time to simulate (default 3·Δagr).
 	RunFor simtime.Duration
-	// LegacyFanout forces the per-recipient broadcast delivery path (see
-	// simnet.Config.LegacyFanout); the differential tests pin the batched
-	// path against it.
-	LegacyFanout bool
 	// Conditions is the scripted network-condition schedule — timed
 	// partitions, jitter windows, node churn — applied deterministically
 	// at delivery time (see simnet/conditions.go).
 	Conditions []simnet.Condition
-	// LegacyConditions bypasses the condition machinery (the schedule is
-	// ignored); the differential tests pin the conditions-on path against
-	// it on schedule-free scenarios.
-	LegacyConditions bool
 }
 
 // Initiator is the General-side capability required of correct nodes for
@@ -143,15 +135,13 @@ func Run(sc Scenario) (*Result, error) {
 	}
 
 	w, err := simnet.New(simnet.Config{
-		Params:           sc.Params,
-		Seed:             sc.Seed,
-		DelayMin:         sc.DelayMin,
-		DelayMax:         sc.DelayMax,
-		Delay:            sc.Delay,
-		Clocks:           sc.Clocks,
-		LegacyFanout:     sc.LegacyFanout,
-		Conditions:       sc.Conditions,
-		LegacyConditions: sc.LegacyConditions,
+		Params:     sc.Params,
+		Seed:       sc.Seed,
+		DelayMin:   sc.DelayMin,
+		DelayMax:   sc.DelayMax,
+		Delay:      sc.Delay,
+		Clocks:     sc.Clocks,
+		Conditions: sc.Conditions,
 	})
 	if err != nil {
 		return nil, err

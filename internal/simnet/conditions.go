@@ -12,9 +12,8 @@ import (
 // per-link jitter windows, and node churn — applied at delivery time.
 // Conditions are pure functions of (virtual time, endpoints): they consume
 // no randomness and touch no scheduler state, so a world with an empty
-// schedule is byte-identical to one built before this machinery existed
-// (Config.LegacyConditions bypasses the code path entirely; the
-// differential tests pin the two).
+// schedule runs exactly as one with no schedule at all: New compiles
+// nothing and fanOut skips the lookup.
 //
 // Model-legality matters here. Jitter only stretches delays WITHIN the
 // configured [DelayMin, DelayMax] (clamped), so a jittered run still

@@ -10,13 +10,13 @@ import (
 
 // condWorld builds a 4-node world with deterministic delays and probes on
 // every node.
-func condWorld(t *testing.T, conds []Condition, legacy bool) (*World, []*probe) {
+func condWorld(t *testing.T, conds []Condition) (*World, []*probe) {
 	t.Helper()
 	pp := protocol.DefaultParams(4)
 	w := newWorld(t, Config{
 		Params: pp, Seed: 1,
 		DelayMin: 100, DelayMax: 100,
-		Conditions: conds, LegacyConditions: legacy,
+		Conditions: conds,
 	})
 	probes := make([]*probe, 4)
 	for i := range probes {
@@ -51,11 +51,6 @@ func TestConditionValidation(t *testing.T) {
 			}
 		})
 	}
-	// LegacyConditions must bypass validation along with the machinery.
-	if _, err := New(Config{Params: pp, LegacyConditions: true,
-		Conditions: []Condition{{Kind: "meteor"}}}); err != nil {
-		t.Errorf("LegacyConditions still compiled the schedule: %v", err)
-	}
 }
 
 func TestPartitionDropsCrossGroupInWindow(t *testing.T) {
@@ -63,7 +58,7 @@ func TestPartitionDropsCrossGroupInWindow(t *testing.T) {
 	// window die, same-group and out-of-window messages live.
 	w, probes := condWorld(t, []Condition{
 		{Kind: CondPartition, From: 1000, Until: 2000, Nodes: []protocol.NodeID{3}},
-	}, false)
+	})
 	send := func(at simtime.Real, from, to protocol.NodeID, val protocol.Value) {
 		w.Scheduler().At(at, func() {
 			w.Runtime(from).Send(to, protocol.Message{Kind: protocol.Support, G: 0, M: val})
@@ -164,7 +159,7 @@ func TestChurnDetachesNodeBothDirections(t *testing.T) {
 	// send time, messages arriving while it is down die at arrival.
 	w, probes := condWorld(t, []Condition{
 		{Kind: CondChurn, From: 1000, Until: 2000, Nodes: []protocol.NodeID{1}},
-	}, false)
+	})
 	send := func(at simtime.Real, from, to protocol.NodeID, val protocol.Value) {
 		w.Scheduler().At(at, func() {
 			w.Runtime(from).Send(to, protocol.Message{Kind: protocol.Support, G: 0, M: val})
@@ -205,17 +200,17 @@ func TestChurnDetachesNodeBothDirections(t *testing.T) {
 }
 
 func TestConditionsApplyOnBroadcastFanout(t *testing.T) {
-	// Conditions must hold on the batched Broadcast path exactly as on
+	// Conditions must hold on both Broadcast fan-out paths exactly as on
 	// point-to-point sends: partition node 3 off and broadcast from 0.
-	run := func(legacyFanout bool) (delivered int, drops int64) {
+	run := func(useBatch bool) (delivered int, drops int64) {
 		pp := protocol.DefaultParams(4)
 		w := newWorld(t, Config{
 			Params: pp, Seed: 7, DelayMin: 100, DelayMax: 100,
-			LegacyFanout: legacyFanout,
 			Conditions: []Condition{
 				{Kind: CondPartition, From: 0, Until: 10_000, Nodes: []protocol.NodeID{3}},
 			},
 		})
+		w.useBatch = useBatch
 		probes := make([]*probe, 4)
 		for i := range probes {
 			probes[i] = &probe{}
@@ -231,61 +226,12 @@ func TestConditionsApplyOnBroadcastFanout(t *testing.T) {
 		}
 		return delivered, w.ConditionDrops()
 	}
-	for _, legacyFanout := range []bool{false, true} {
-		delivered, drops := run(legacyFanout)
+	for _, useBatch := range []bool{true, false} {
+		delivered, drops := run(useBatch)
 		// 4 recipients, the cross-partition one (node 3) dropped.
 		if delivered != 3 || drops != 1 {
-			t.Errorf("legacyFanout=%v: delivered=%d drops=%d, want 3 and 1",
-				legacyFanout, delivered, drops)
-		}
-	}
-}
-
-// TestLegacyConditionsDifferential pins the conditions-on code path to the
-// bypassed one on a schedule-free world: same seed, byte-identical message
-// counts and recorded traces — the machinery must cost nothing and change
-// nothing when no condition is scripted.
-func TestLegacyConditionsDifferential(t *testing.T) {
-	run := func(legacy bool) (*World, *probe) {
-		pp := protocol.DefaultParams(4)
-		w := newWorld(t, Config{
-			Params: pp, Seed: 42, DelayMin: 200, DelayMax: 900,
-			Conditions:       nil,
-			LegacyConditions: legacy,
-		})
-		p := &probe{}
-		w.SetNode(0, p)
-		for i := 1; i < 4; i++ {
-			w.SetNode(protocol.NodeID(i), &probe{})
-		}
-		w.Start()
-		for i := 0; i < 20; i++ {
-			at := simtime.Real(100 + 137*i)
-			from := protocol.NodeID(i % 4)
-			w.Scheduler().At(at, func() {
-				w.Runtime(from).Broadcast(protocol.Message{Kind: protocol.Support, G: 0, M: "x"})
-			})
-		}
-		w.RunUntil(50_000)
-		return w, p
-	}
-	wOn, pOn := run(false)
-	wOff, pOff := run(true)
-	totOn, _ := wOn.MessageCount()
-	totOff, _ := wOff.MessageCount()
-	if totOn != totOff {
-		t.Fatalf("message counts differ: %d vs %d", totOn, totOff)
-	}
-	if wOn.Scheduler().Processed() != wOff.Scheduler().Processed() {
-		t.Fatalf("processed-event counts differ: %d vs %d",
-			wOn.Scheduler().Processed(), wOff.Scheduler().Processed())
-	}
-	if len(pOn.messages) != len(pOff.messages) {
-		t.Fatalf("deliveries differ: %d vs %d", len(pOn.messages), len(pOff.messages))
-	}
-	for i := range pOn.messages {
-		if pOn.messages[i] != pOff.messages[i] {
-			t.Fatalf("delivery %d differs: %+v vs %+v", i, pOn.messages[i], pOff.messages[i])
+			t.Errorf("useBatch=%v: delivered=%d drops=%d, want 3 and 1",
+				useBatch, delivered, drops)
 		}
 	}
 }

@@ -44,22 +44,11 @@ type Config struct {
 	// default to ideal clocks with zero offset. Use simtime.DriftClock to
 	// model drift and offset.
 	Clocks []simtime.Clock
-	// LegacyFanout forces Broadcast to post one scheduler event per
-	// recipient (the pre-batching delivery path). It exists for the
-	// differential tests that pin the batched path to the legacy one:
-	// both must produce byte-identical traces, message counts, and
-	// processed-event counts.
-	LegacyFanout bool
 	// Conditions is the scripted network-condition schedule — timed
 	// partitions, jitter windows, node churn — applied deterministically
 	// at delivery time (see conditions.go). An empty schedule leaves the
 	// delivery path byte-identical to a condition-free world.
 	Conditions []Condition
-	// LegacyConditions bypasses the condition machinery entirely (the
-	// schedule is ignored). It exists for the differential tests that pin
-	// the conditions-on path to the pre-conditions one on a schedule-free
-	// config: both must produce byte-identical runs.
-	LegacyConditions bool
 }
 
 // World is a deterministic simulation of n nodes exchanging messages.
@@ -82,9 +71,8 @@ type World struct {
 	// disturbances) are the condition schedule's job — see conditions.go.
 	dropFn func(from, to protocol.NodeID, m protocol.Message) bool
 
-	// conds is the compiled condition schedule (empty when none or when
-	// Config.LegacyConditions bypasses it); condDrops counts messages the
-	// schedule ate.
+	// conds is the compiled condition schedule (empty when none);
+	// condDrops counts messages the schedule ate.
 	conds     []compiledCond
 	condDrops int64
 
@@ -205,7 +193,7 @@ func New(cfg Config) (*World, error) {
 		fanScratch: make([]*deliveryBatch, int(cfg.DelayMax-cfg.DelayMin)+1),
 		useBatch:   int64(cfg.DelayMax-cfg.DelayMin)+1 <= 4*int64(cfg.Params.N),
 	}
-	if len(cfg.Conditions) > 0 && !cfg.LegacyConditions {
+	if len(cfg.Conditions) > 0 {
 		conds, err := compileConditions(cfg.Conditions, cfg.Params.N)
 		if err != nil {
 			return nil, err
@@ -360,7 +348,7 @@ const drawDelay simtime.Duration = -1
 // order, so traces, message counts, and processed-event counts are
 // byte-identical between the two.
 func (w *World) fanOut(from protocol.NodeID, lo, hi int, m protocol.Message, delay simtime.Duration) {
-	batch := hi-lo > 1 && w.useBatch && !w.cfg.LegacyFanout
+	batch := hi-lo > 1 && w.useBatch
 	sm := m
 	sm.From = from // authenticated identity: stamped by the transport
 	r := w.record(sm)
