@@ -3,8 +3,8 @@ package main
 // This file is the `-cluster` mode: spawn an n-node loopback cluster over
 // real sockets — in-process (n NetNodes, one per goroutine set, each
 // behind its own UDP/TCP socket) or multi-process (n ssbyz-node daemons
-// booted from a generated manifest, traces collected over a control
-// socket) — run agreements, and feed the collected trace through the
+// booted from a generated manifest and driven over their REST ops
+// plane, traces collected with GET /trace) — run agreements, and feed the collected trace through the
 // full internal/check property battery. The exit status is non-zero if
 // any node fails to decide or any paper bound is violated, which makes
 // the mode CI's live smoke gate.
@@ -12,12 +12,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"net"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strings"
-	"sync"
 	"time"
 
 	"ssbyz/internal/check"
@@ -25,11 +19,11 @@ import (
 	"ssbyz/internal/core"
 	"ssbyz/internal/metrics"
 	"ssbyz/internal/nettrans"
+	"ssbyz/internal/ops"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/service"
 	"ssbyz/internal/simtime"
 	"ssbyz/internal/transient"
-	"ssbyz/internal/wire"
 )
 
 // clusterOpts carries the -cluster flag group.
@@ -48,7 +42,7 @@ type clusterOpts struct {
 	virtual bool
 	// fault, when ≥ 0, corrupts that RUNNING node's protocol state after
 	// the first agreement — in place through its event loop in-process,
-	// or over the daemon's control socket as a FrameFault with -procs —
+	// or with POST /fault to its daemon with -procs —
 	// and the run measures re-stabilization against Δstb = 2Δreset before
 	// probing with a fresh agreement.
 	fault int
@@ -138,7 +132,7 @@ func runClusterService(o clusterOpts, pp protocol.Params) error {
 	}
 	wallS := time.Since(start).Seconds()
 	st := res.Logs[0].Stats()
-	fmt.Printf("traffic: %s\n", fmtStats(res.Stats))
+	fmt.Printf("traffic: %s\n", res.Stats.Pairs())
 	fmt.Printf("log: committed=%d/%d failed=%d sessions=%d wall=%.2fs (%.1f agr/sec)\n",
 		st.Committed, o.agreements, st.Failed, o.sessions, wallS,
 		float64(st.Committed)/wallS)
@@ -186,17 +180,6 @@ func verdict(res *check.LiveResult, inits []check.LiveInitiation, pp protocol.Pa
 
 // ---- in-process ----
 
-// fmtStats renders the full per-class condition/attack counter vector as
-// "name=value" pairs — the same schema the daemons stream as FrameStats.
-func fmtStats(s nettrans.Stats) string {
-	vec := s.Counters()
-	parts := make([]string, len(vec))
-	for i, name := range nettrans.CounterNames {
-		parts[i] = fmt.Sprintf("%s=%d", name, vec[i])
-	}
-	return strings.Join(parts, " ")
-}
-
 func runClusterInProcess(o clusterOpts, pp protocol.Params) error {
 	ccfg := nettrans.ClusterConfig{
 		Params: pp, Tick: o.tick, Transport: o.transport,
@@ -242,14 +225,14 @@ func runClusterInProcess(o clusterOpts, pp protocol.Params) error {
 	}
 
 	if o.fault < 0 {
-		fmt.Printf("traffic: %s\n", fmtStats(c.Stats()))
+		fmt.Printf("traffic: %s\n", c.Stats().Pairs())
 		res := c.Result(simtime.Duration(c.NowTicks()) + 1)
 		return verdict(&check.LiveResult{Result: res}, inits, pp, float64(pp.D))
 	}
 
 	// Mid-run transient fault: corrupt the RUNNING node in place through
-	// its event loop (the same transient.CorruptRunning call the daemon's
-	// control socket triggers), measure the re-stabilization of the
+	// its event loop (the same transient.CorruptRunning call a daemon's
+	// POST /fault makes), measure the re-stabilization of the
 	// planted phantom mark against Δstb = 2Δreset, then probe with the
 	// remaining agreements and judge the pre- and post-window trace
 	// halves separately — the paper's properties are only promised
@@ -326,7 +309,7 @@ func runClusterInProcess(o clusterOpts, pp protocol.Params) error {
 		}
 		postInits = append(postInits, init)
 	}
-	fmt.Printf("traffic: %s\n", fmtStats(c.Stats()))
+	fmt.Printf("traffic: %s\n", c.Stats().Pairs())
 
 	res := c.Result(simtime.Duration(c.NowTicks()) + 1)
 	var pre, post []protocol.TraceEvent
@@ -350,124 +333,104 @@ func runClusterInProcess(o clusterOpts, pp protocol.Params) error {
 
 // ---- multi-process ----
 
+// runClusterProcs boots one ssbyz-node daemon per node on the shared
+// launcher and drives the run over each daemon's REST ops plane:
+// POST /initiate for the General (and, with -fault, POST /fault and the
+// post-recovery probe), then at the horizon GET /trace and /metrics from
+// every daemon, and POST /drain. The collected traces are judged by the
+// same battery as the in-process forms.
 func runClusterProcs(o clusterOpts, pp protocol.Params) error {
-	nodeBin, err := resolveNodeBin(o.nodeBin)
+	fl, err := ops.NewFleet(o.nodeBin, pp, o.transport, o.tick)
 	if err != nil {
 		return err
 	}
+	defer fl.Close()
 
-	// Reserve one loopback port per node by binding and releasing; the
-	// window between release and the daemon's re-bind is the usual
-	// ephemeral-port race, acceptable for a loopback smoke topology.
-	addrs := make([]string, pp.N)
-	for i := range addrs {
-		s, err := nettrans.ListenSocket(o.transport, "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		addrs[i] = s.Addr()
-		s.Close()
-	}
-
-	// The epoch sits far enough out that every daemon has parsed the
-	// manifest and bound its socket before tick 0.
-	epoch := time.Now().Add(500 * time.Millisecond)
-	t0 := simtime.Real(5 * pp.D)
-	runFor := int64(t0) + int64(2*pp.DeltaAgr()) + int64(10*pp.D)
+	t0 := int64(5 * pp.D)
+	horizon := t0 + int64(2*pp.DeltaAgr()) + int64(10*pp.D)
 
 	// With -fault the run stretches past the transient window: the fault
 	// order lands after the first agreement settles, the daemons get the
 	// full Δstb = 2Δreset budget to re-stabilize, and a second General
 	// then probes that the recovered cluster still agrees.
 	var (
-		faultAt   simtime.Real
-		postAt    simtime.Real
+		faultAt   int64
+		postAt    int64
 		probeNode protocol.NodeID
 		vpost     = protocol.Value("vpost")
 	)
 	if o.fault >= 0 {
-		faultAt = t0 + simtime.Real(pp.DeltaAgr()) + simtime.Real(10*pp.D)
-		postAt = faultAt + simtime.Real(pp.DeltaStb()) + simtime.Real(2*pp.D)
+		faultAt = t0 + int64(pp.DeltaAgr()) + int64(10*pp.D)
+		postAt = faultAt + int64(pp.DeltaStb()) + int64(2*pp.D)
 		// The probe General must be neither node 0 (already the General of
-		// v0) nor n-1 (the phantom-mark identity the daemon's fault watcher
-		// observes); n ≥ 4 always leaves 1 or 2 free.
+		// v0) nor n-1 (the identity of the phantom mark the fault plants);
+		// n ≥ 4 always leaves 1 or 2 free.
 		probeNode = 1
 		if o.fault == 1 {
 			probeNode = 2
 		}
-		runFor = int64(postAt) + int64(2*pp.DeltaAgr()) + int64(10*pp.D)
-	}
-	m := nettrans.Manifest{
-		N: pp.N, F: pp.F, D: pp.D,
-		TickUS:        o.tick.Microseconds(),
-		Transport:     o.transport,
-		EpochUnixNano: epoch.UnixNano(),
-		Nodes:         addrs,
-	}
-	dir, err := os.MkdirTemp("", "ssbyz-cluster-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	manifestPath := filepath.Join(dir, "cluster.json")
-	if err := os.WriteFile(manifestPath, m.Marshal(), 0o644); err != nil {
-		return err
+		horizon = postAt + int64(2*pp.DeltaAgr()) + int64(10*pp.D)
 	}
 
-	collector, err := newTraceCollector()
-	if err != nil {
+	ids := make([]int, pp.N)
+	for i := range ids {
+		ids[i] = i
+	}
+	if err := fl.Spawn(ids...); err != nil {
 		return err
 	}
-	defer collector.close()
 
 	v := protocol.Value("v0")
-	procs := make([]*exec.Cmd, pp.N)
-	for i := 0; i < pp.N; i++ {
-		args := []string{
-			"-manifest", manifestPath,
-			"-id", fmt.Sprint(i),
-			"-control", collector.addr(),
-			"-run-for", fmt.Sprint(runFor),
-		}
-		if i == 0 {
-			args = append(args, "-initiate", string(v), "-initiate-at", fmt.Sprint(int64(t0)))
-		}
-		if o.fault >= 0 && protocol.NodeID(i) == probeNode {
-			args = append(args, "-initiate", string(vpost), "-initiate-at", fmt.Sprint(int64(postAt)))
-		}
-		cmd := exec.Command(nodeBin, args...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			killAll(procs)
-			return fmt.Errorf("spawn node %d: %w", i, err)
-		}
-		procs[i] = cmd
+	fl.SleepUntilTick(t0)
+	if err := fl.Client(0).Initiate(0, string(v)); err != nil {
+		return fmt.Errorf("initiate %q at node 0: %w", v, err)
 	}
 	if o.fault >= 0 {
-		// Deliver the fault order over the control socket at wall time
-		// epoch + faultAt ticks — the daemon corrupts its RUNNING state in
-		// place and self-reports its re-stabilization.
-		go func() {
-			time.Sleep(time.Until(epoch.Add(time.Duration(faultAt) * o.tick)))
-			if err := collector.sendFault(protocol.NodeID(o.fault),
-				wire.FaultCmd{Seed: virtualSeed, SeverityPermille: 1000}); err != nil {
-				fmt.Fprintf(os.Stderr, "fault order to node %d: %v\n", o.fault, err)
-			}
-		}()
+		fl.SleepUntilTick(faultAt)
+		if err := fl.Client(o.fault).Fault(virtualSeed, 1000); err != nil {
+			return fmt.Errorf("fault node %d: %w", o.fault, err)
+		}
+		fmt.Printf("fault: node %d state corrupted in place at tick %d over POST /fault (severity 1000‰)\n",
+			o.fault, fl.NowTicks())
+		fl.SleepUntilTick(postAt)
+		if err := fl.Client(int(probeNode)).Initiate(0, string(vpost)); err != nil {
+			return fmt.Errorf("initiate %q at node %d: %w", vpost, probeNode, err)
+		}
 	}
+	fl.SleepUntilTick(horizon)
+
+	var events []protocol.TraceEvent
+	var total nettrans.Stats
+	for _, id := range ids {
+		cl := fl.Client(id)
+		evs, err := cl.TraceEvents()
+		if err != nil {
+			return fmt.Errorf("node %d trace: %w", id, err)
+		}
+		events = append(events, evs...)
+		mtr, err := cl.Metrics()
+		if err != nil {
+			return fmt.Errorf("node %d metrics: %w", id, err)
+		}
+		total.Add(mtr.Stats())
+	}
+	end := simtime.Duration(fl.NowTicks()) + 1
 	var procErrs []error
-	for i, cmd := range procs {
-		if err := cmd.Wait(); err != nil {
-			procErrs = append(procErrs, fmt.Errorf("node %d: %w", i, err))
+	for _, id := range ids {
+		if err := fl.Client(id).Drain(); err != nil {
+			procErrs = append(procErrs, fmt.Errorf("drain node %d: %w", id, err))
+		}
+	}
+	for _, id := range ids {
+		if err := fl.WaitExit(id, 10*time.Second); err != nil {
+			procErrs = append(procErrs, fmt.Errorf("node %d: %w", id, err))
 		}
 	}
 	if len(procErrs) > 0 {
 		return errors.Join(procErrs...)
 	}
-	events := collector.drain()
 	fmt.Printf("collected %d trace events from %d daemons\n", len(events), pp.N)
-	fmt.Printf("traffic: %s\n", fmtStats(collector.totalStats()))
+	fmt.Printf("traffic: %s\n", total.Pairs())
 
 	correct := make([]protocol.NodeID, pp.N)
 	for i := range correct {
@@ -479,7 +442,7 @@ func runClusterProcs(o clusterOpts, pp protocol.Params) error {
 	}
 
 	if o.fault < 0 {
-		res := nettrans.BuildResult(pp, events, correct, simtime.Duration(runFor)+1)
+		res := nettrans.BuildResult(pp, events, correct, end)
 		return verdict(&check.LiveResult{Result: res},
 			[]check.LiveInitiation{{G: 0, V: v, T0: realT0}}, pp, float64(pp.D))
 	}
@@ -490,9 +453,9 @@ func runClusterProcs(o clusterOpts, pp protocol.Params) error {
 	var pre, post []protocol.TraceEvent
 	for _, ev := range events {
 		switch {
-		case ev.RT < faultAt:
+		case ev.RT < simtime.Real(faultAt):
 			pre = append(pre, ev)
-		case ev.RT >= postAt:
+		case ev.RT >= simtime.Real(postAt):
 			post = append(post, ev)
 		}
 	}
@@ -506,7 +469,7 @@ func runClusterProcs(o clusterOpts, pp protocol.Params) error {
 		return err
 	}
 	fmt.Printf("post-recovery window (%d events):\n", len(post))
-	return verdict(&check.LiveResult{Result: nettrans.BuildResult(pp, post, correct, simtime.Duration(runFor)+1)},
+	return verdict(&check.LiveResult{Result: nettrans.BuildResult(pp, post, correct, end)},
 		[]check.LiveInitiation{{G: probeNode, V: vpost, T0: postT0}}, pp, float64(pp.D))
 }
 
@@ -517,163 +480,4 @@ func findInitiate(events []protocol.TraceEvent, g protocol.NodeID, v protocol.Va
 		}
 	}
 	return 0, false
-}
-
-func killAll(procs []*exec.Cmd) {
-	for _, cmd := range procs {
-		if cmd != nil && cmd.Process != nil {
-			_ = cmd.Process.Kill()
-		}
-	}
-}
-
-// resolveNodeBin locates the ssbyz-node binary: the explicit flag, a
-// sibling of this executable, or PATH.
-func resolveNodeBin(flagValue string) (string, error) {
-	if flagValue != "" {
-		return flagValue, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		sibling := filepath.Join(filepath.Dir(self), "ssbyz-node")
-		if _, err := os.Stat(sibling); err == nil {
-			return sibling, nil
-		}
-	}
-	if p, err := exec.LookPath("ssbyz-node"); err == nil {
-		return p, nil
-	}
-	return "", fmt.Errorf("cannot find ssbyz-node (build it with `go build ./cmd/ssbyz-node` and pass -node-bin, or put it next to ssbyz-bench)")
-}
-
-// traceCollector accepts the daemons' control connections and decodes
-// their trace streams. The connections are bidirectional: each is
-// registered under the node id its FrameHello announces so sendFault can
-// address a specific RUNNING daemon with a FrameFault order, and the
-// FrameStats vector each daemon streams at shutdown is kept so the run
-// can print the cluster-wide per-class condition/attack counters.
-type traceCollector struct {
-	ln net.Listener
-	wg sync.WaitGroup
-
-	mu     sync.Mutex
-	events []protocol.TraceEvent
-	conns  map[protocol.NodeID]net.Conn
-	stats  map[protocol.NodeID]nettrans.Stats
-}
-
-func newTraceCollector() (*traceCollector, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	c := &traceCollector{
-		ln:    ln,
-		conns: make(map[protocol.NodeID]net.Conn),
-		stats: make(map[protocol.NodeID]nettrans.Stats),
-	}
-	go c.acceptLoop()
-	return c, nil
-}
-
-// sendFault writes a FrameFault order on the named daemon's control
-// connection; the daemon corrupts its RUNNING protocol state in place on
-// receipt (the in-situ transient-fault injection of DESIGN.md §10).
-func (c *traceCollector) sendFault(id protocol.NodeID, cmd wire.FaultCmd) error {
-	c.mu.Lock()
-	conn := c.conns[id]
-	c.mu.Unlock()
-	if conn == nil {
-		return fmt.Errorf("no control connection from node %d", id)
-	}
-	frame := wire.AppendFrame(nil, wire.Frame{
-		Kind:    wire.FrameFault,
-		From:    id,
-		Payload: wire.AppendFaultCmd(nil, cmd),
-	})
-	_, err := conn.Write(frame)
-	return err
-}
-
-// totalStats sums the per-daemon shutdown counter vectors.
-func (c *traceCollector) totalStats() nettrans.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total nettrans.Stats
-	for _, s := range c.stats {
-		total.Add(s)
-	}
-	return total
-}
-
-func (c *traceCollector) addr() string { return c.ln.Addr().String() }
-
-func (c *traceCollector) acceptLoop() {
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			defer conn.Close()
-			c.readLoop(conn)
-		}()
-	}
-}
-
-func (c *traceCollector) readLoop(conn net.Conn) {
-	var buf []byte
-	chunk := make([]byte, 32<<10)
-	for {
-		n, err := conn.Read(chunk)
-		if n > 0 {
-			buf = append(buf, chunk[:n]...)
-			for {
-				f, consumed, derr := wire.DecodeFrame(buf)
-				if errors.Is(derr, wire.ErrTruncated) {
-					break
-				}
-				if derr != nil {
-					return // corrupt control stream; drop the connection
-				}
-				buf = buf[consumed:]
-				switch f.Kind {
-				case wire.FrameHello:
-					c.mu.Lock()
-					c.conns[f.From] = conn
-					c.mu.Unlock()
-				case wire.FrameStats:
-					if vec, _, err := wire.DecodeCounters(f.Payload); err == nil {
-						c.mu.Lock()
-						c.stats[f.From] = nettrans.StatsFromCounters(vec)
-						c.mu.Unlock()
-					}
-				case wire.FrameTrace:
-					if ev, _, err := wire.DecodeTraceEvent(f.Payload); err == nil {
-						c.mu.Lock()
-						c.events = append(c.events, ev)
-						c.mu.Unlock()
-					}
-				}
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// drain waits for the open streams to finish and returns the events.
-func (c *traceCollector) drain() []protocol.TraceEvent {
-	c.ln.Close()
-	c.wg.Wait()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.events
-}
-
-func (c *traceCollector) close() {
-	c.ln.Close()
-	c.wg.Wait()
 }

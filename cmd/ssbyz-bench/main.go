@@ -27,9 +27,9 @@
 // ssbyz-node daemon per node with -procs (the daemon binary is found via
 // -node-bin, next to ssbyz-bench, or on PATH). It runs K agreements
 // (-agreements, default 1, rotating the General), collects the trace
-// (over a control socket in -procs mode), and feeds it through the full
-// internal/check property battery; the exit status is non-zero if any
-// node fails to decide or any paper bound is violated. -transport picks
+// (with GET /trace from every daemon in -procs mode), and feeds it
+// through the full internal/check property battery; the exit status is
+// non-zero if any node fails to decide or any paper bound is violated. -transport picks
 // UDP (datagram-per-message, deadline drops — the paper-faithful
 // default) or TCP (lossless stream baseline); -cluster-d sets d in ticks
 // (default 100) and -tick the wall length of one tick (default 100µs),
@@ -42,8 +42,8 @@
 // reproducible and -tick is a virtual unit rather than a wall sleep
 // (in-process only; incompatible with -procs). -fault K corrupts node
 // K's RUNNING protocol state after the first agreement — in place
-// through its event loop in-process, or as a FrameFault order over the
-// daemon's control socket with -procs — plants a phantom mark, requires
+// through its event loop in-process, or with POST /fault to the
+// daemon's REST ops plane with -procs — plants a phantom mark, requires
 // the node to re-stabilize within the paper's Δstb = 2Δreset budget,
 // then probes the recovered cluster with a fresh agreement; the trace is
 // judged in pre-fault and post-recovery halves, since the paper's
@@ -138,7 +138,7 @@ func defineFlags(fs *flag.FlagSet) *benchFlags {
 		clusterD:   fs.Int64("cluster-d", 100, "-cluster: the paper's d in ticks"),
 		tick:       fs.Duration("tick", 100*time.Microsecond, "-cluster: wall-clock length of one tick"),
 		virtual:    fs.Bool("virtual", false, "-cluster: run under virtual time on a fake clock over the deterministic in-memory wire (in-process only; the run is byte-reproducible)"),
-		fault:      fs.Int("fault", -1, "-cluster: corrupt this RUNNING node's protocol state in place after the first agreement (in-process, or over the daemon control socket with -procs) and require re-stabilization within Δstb = 2Δreset before a probe agreement"),
+		fault:      fs.Int("fault", -1, "-cluster: corrupt this RUNNING node's protocol state in place after the first agreement (in-process, or with POST /fault to the daemon with -procs) and require re-stabilization within Δstb = 2Δreset before a probe agreement"),
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"ssbyz/internal/clock"
@@ -236,19 +237,8 @@ func judgeReport(rep *ops.CampaignReport) error {
 		}
 	}
 	if len(errs) > 0 {
-		return fmt.Errorf("campaign verdicts failed:\n  %s", joinLines(errs))
+		return fmt.Errorf("campaign verdicts failed:\n  %s", strings.Join(errs, "\n  "))
 	}
 	fmt.Println("campaign verdicts: all passed")
 	return nil
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }

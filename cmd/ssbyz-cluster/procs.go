@@ -5,33 +5,14 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/ops"
 	"ssbyz/internal/protocol"
 )
-
-// fleet is the orchestrator's view of the running processes: one daemon
-// per booted committee slot, addressed over its REST ops API.
-type fleet struct {
-	nodeBin  string
-	manifest string
-	dir      string
-	epoch    time.Time
-	tick     time.Duration
-	addrs    []string // protocol (UDP) addresses, by node id
-
-	mu      sync.Mutex
-	procs   map[int]*exec.Cmd
-	clients map[int]*ops.Client
-	incs    []uint64
-}
 
 // runProcs executes the campaign with one ssbyz-node process per slot,
 // orchestrated entirely over REST: boot the fleet (scale targets held
@@ -45,79 +26,44 @@ func runProcs(f *clusterFlags, spec ops.ClusterSpec) error {
 	if *f.transport != nettrans.TransportUDP {
 		return fmt.Errorf("-procs needs -transport udp (the replay probe is a raw datagram)")
 	}
-	nodeBin, err := resolveNodeBin(*f.nodeBin)
-	if err != nil {
-		return err
-	}
 	pp := spec.Manifest.Params()
-	tick := *f.tick
 	entries := spec.Entries
 	if entries <= 0 {
 		entries = 8
 	}
 
-	// Rebuild the wire-level manifest for real processes: reserved
-	// loopback ports and a wall epoch far enough out for every daemon to
-	// bind before tick 0. The spec's committee, schedule, and workload
-	// carry over unchanged.
-	addrs := make([]string, pp.N)
-	for i := range addrs {
-		s, err := nettrans.ListenSocket(nettrans.TransportUDP, "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		addrs[i] = s.Addr()
-		s.Close()
-	}
-	epoch := time.Now().Add(750 * time.Millisecond)
-	m := nettrans.Manifest{
-		N: pp.N, F: pp.F, D: pp.D,
-		TickUS:        tick.Microseconds(),
-		Transport:     nettrans.TransportUDP,
-		EpochUnixNano: epoch.UnixNano(),
-		Nodes:         addrs,
-	}
-	dir, err := os.MkdirTemp("", "ssbyz-cluster-*")
+	// The spec's committee, schedule, and workload carry over; the fleet
+	// rebuilds the wire-level manifest for real processes (reserved
+	// loopback ports, a wall epoch every daemon binds before).
+	fl, err := ops.NewFleet(*f.nodeBin, pp, nettrans.TransportUDP, *f.tick)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	manifestPath := filepath.Join(dir, "cluster.json")
-	if err := os.WriteFile(manifestPath, m.Marshal(), 0o644); err != nil {
-		return err
-	}
-
-	fl := &fleet{
-		nodeBin: nodeBin, manifest: manifestPath, dir: dir,
-		epoch: epoch, tick: tick, addrs: addrs,
-		procs:   make(map[int]*exec.Cmd),
-		clients: make(map[int]*ops.Client),
-		incs:    make([]uint64, pp.N),
-	}
-	defer fl.killAll()
+	defer fl.Close()
 
 	// Boot everything except the scale targets.
 	held := make(map[int]bool)
 	for _, id := range spec.ScaleTargets() {
 		held[int(id)] = true
 	}
+	var boot []int
 	for id := 0; id < pp.N; id++ {
-		if held[id] {
-			continue
-		}
-		if err := fl.spawn(id); err != nil {
-			return err
+		if !held[id] {
+			boot = append(boot, id)
 		}
 	}
+	if err := fl.Spawn(boot...); err != nil {
+		return err
+	}
 	fmt.Printf("fleet up: %d/%d daemons (scale targets held: %d), epoch %s\n",
-		pp.N-len(held), pp.N, len(held), epoch.Format(time.RFC3339Nano))
+		pp.N-len(held), pp.N, len(held), fl.Epoch().Format(time.RFC3339Nano))
 
 	// Stream node 0's /events (the NDJSON libpod shape) for the log;
 	// decides are counted rather than printed.
 	evCtx, evCancel := context.WithCancel(context.Background())
 	defer evCancel()
 	go func() {
-		_ = fl.client(0).Events(evCtx, func(ev ops.Event) {
+		_ = fl.Client(0).Events(evCtx, func(ev ops.Event) {
 			if ev.Type != "decide" {
 				fmt.Printf("event: %s node=%d tick=%d %v\n", ev.Type, ev.Node, ev.Tick, ev.Attrs)
 			}
@@ -129,8 +75,8 @@ func runProcs(f *clusterFlags, spec ops.ClusterSpec) error {
 	// values), starting at 5d.
 	go func() {
 		for i := 0; i < entries; i++ {
-			fl.sleepUntilTick(int64(5*pp.D) + int64(i)*int64(15*pp.D))
-			if err := fl.client(0).Initiate(0, fmt.Sprintf("e%d", i)); err != nil {
+			fl.SleepUntilTick(int64(5*pp.D) + int64(i)*int64(15*pp.D))
+			if err := fl.Client(0).Initiate(0, fmt.Sprintf("e%d", i)); err != nil {
 				fmt.Fprintf(os.Stderr, "initiate e%d: %v\n", i, err)
 			}
 		}
@@ -138,28 +84,28 @@ func runProcs(f *clusterFlags, spec ops.ClusterSpec) error {
 
 	// Wall-clock budget for one re-stabilization: the paper's Δstb in
 	// real time, plus slack for process start-up.
-	stbBudget := time.Duration(pp.DeltaStb())*tick + 10*time.Second
+	stbBudget := time.Duration(pp.DeltaStb())*(*f.tick) + 10*time.Second
 	var verdictErrs []string
 
 	for _, st := range spec.Steps {
-		fl.sleepUntilTick(st.At)
+		fl.SleepUntilTick(st.At)
 		switch st.Op {
 		case ops.OpScale:
-			if err := fl.spawn(st.Node); err != nil {
+			if err := fl.Spawn(st.Node); err != nil {
 				return fmt.Errorf("scale node %d: %w", st.Node, err)
 			}
-			fmt.Printf("scale: node %d up at tick %d\n", st.Node, fl.nowTicks())
+			fmt.Printf("scale: node %d up at tick %d\n", st.Node, fl.NowTicks())
 
 		case ops.OpRoll:
 			rollStart := time.Now()
-			fmt.Printf("roll: replacing node %d at tick %d\n", st.Node, fl.nowTicks())
-			if err := fl.roll(st.Node); err != nil {
+			fmt.Printf("roll: replacing node %d at tick %d\n", st.Node, fl.NowTicks())
+			if err := roll(fl, st.Node); err != nil {
 				return fmt.Errorf("roll node %d: %w", st.Node, err)
 			}
 			// The Δstb assertion: the replacement must report stabilized —
 			// a decide observed at its new incarnation — within the budget,
 			// while the pump keeps committing.
-			h, err := fl.client(st.Node).AwaitStabilized(stbBudget)
+			h, err := fl.Client(st.Node).AwaitStabilized(stbBudget)
 			if err != nil {
 				verdictErrs = append(verdictErrs, fmt.Sprintf("rolled node %d: %v", st.Node, err))
 			} else {
@@ -168,13 +114,13 @@ func runProcs(f *clusterFlags, spec ops.ClusterSpec) error {
 			}
 			// The replay verdict: every peer's epoch_drops counter must move
 			// for the probe forged from the old incarnation.
-			if err := fl.awaitEpochDrops(st.Node); err != nil {
+			if err := awaitEpochDrops(fl, st.Node); err != nil {
 				verdictErrs = append(verdictErrs, err.Error())
 			}
 
 		case ops.OpDrain:
 			// Wait for the workload: General 0 observes one decide per entry.
-			if err := fl.awaitDecides(0, int64(entries), stbBudget); err != nil {
+			if err := awaitDecides(fl, 0, int64(entries), stbBudget); err != nil {
 				verdictErrs = append(verdictErrs, err.Error())
 			}
 		}
@@ -183,70 +129,22 @@ func runProcs(f *clusterFlags, spec ops.ClusterSpec) error {
 	// Ordered drain: every daemon closes its event bus (clean /events
 	// EOF), finishes in-flight handlers, flushes, and exits.
 	evCancel()
-	fmt.Printf("drain: stopping %d daemons at tick %d\n", len(fl.running()), fl.nowTicks())
-	for _, id := range fl.running() {
-		if err := fl.client(id).Drain(); err != nil {
+	fmt.Printf("drain: stopping %d daemons at tick %d\n", len(fl.Running()), fl.NowTicks())
+	for _, id := range fl.Running() {
+		if err := fl.Client(id).Drain(); err != nil {
 			verdictErrs = append(verdictErrs, fmt.Sprintf("drain node %d: %v", id, err))
 		}
 	}
-	for _, id := range fl.running() {
-		if err := fl.waitExit(id, 10*time.Second); err != nil {
+	for _, id := range fl.Running() {
+		if err := fl.WaitExit(id, 10*time.Second); err != nil {
 			verdictErrs = append(verdictErrs, fmt.Sprintf("node %d exit: %v", id, err))
 		}
 	}
 
 	if len(verdictErrs) > 0 {
-		return fmt.Errorf("campaign verdicts failed:\n  %s", joinLines(verdictErrs))
+		return fmt.Errorf("campaign verdicts failed:\n  %s", strings.Join(verdictErrs, "\n  "))
 	}
 	fmt.Println("campaign verdicts: all passed")
-	return nil
-}
-
-// spawn boots one daemon for slot id at its current incarnation and
-// waits for its REST address to land in the -ops-addr-file.
-func (fl *fleet) spawn(id int) error {
-	fl.mu.Lock()
-	inc := fl.incs[id]
-	peerIncs := make([]string, len(fl.incs))
-	anyInc := false
-	for i, v := range fl.incs {
-		peerIncs[i] = fmt.Sprint(v)
-		if v != 0 {
-			anyInc = true
-		}
-	}
-	fl.mu.Unlock()
-
-	addrFile := filepath.Join(fl.dir, fmt.Sprintf("ops-%d-%d.addr", id, inc))
-	args := []string{
-		"-manifest", fl.manifest,
-		"-id", fmt.Sprint(id),
-		"-ops", "127.0.0.1:0",
-		"-ops-addr-file", addrFile,
-		"-incarnation", fmt.Sprint(inc),
-	}
-	if anyInc {
-		args = append(args, "-peer-incarnations", strings.Join(peerIncs, ","))
-	}
-	cmd := exec.Command(fl.nodeBin, args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("spawn node %d: %w", id, err)
-	}
-
-	// The daemon binds its ops listener after sleeping to the shared
-	// epoch, so the address file can take until past tick 0 to appear.
-	deadline := time.Until(fl.epoch) + 15*time.Second
-	addr, err := awaitFile(addrFile, deadline)
-	if err != nil {
-		_ = cmd.Process.Kill()
-		return fmt.Errorf("node %d ops address: %w", id, err)
-	}
-	fl.mu.Lock()
-	fl.procs[id] = cmd
-	fl.clients[id] = ops.NewClient(addr)
-	fl.mu.Unlock()
 	return nil
 }
 
@@ -254,35 +152,32 @@ func (fl *fleet) spawn(id int) error {
 // slot's incarnation on every peer over /bump-epoch, reboot it at the
 // new incarnation, and offer the old incarnation's replay probe to each
 // peer as a raw datagram.
-func (fl *fleet) roll(id int) error {
-	if err := fl.client(id).Stop(); err != nil {
+func roll(fl *ops.Fleet, id int) error {
+	if err := fl.Client(id).Stop(); err != nil {
 		return fmt.Errorf("stop: %w", err)
 	}
-	if err := fl.waitExit(id, 10*time.Second); err != nil {
+	if err := fl.WaitExit(id, 10*time.Second); err != nil {
 		return err
 	}
-	fl.mu.Lock()
-	fl.incs[id]++
-	newInc := fl.incs[id]
-	fl.mu.Unlock()
-	for _, peer := range fl.running() {
-		if err := fl.client(peer).BumpEpoch(id, newInc); err != nil {
+	newInc := fl.Reincarnate(id)
+	for _, peer := range fl.Running() {
+		if err := fl.Client(peer).BumpEpoch(id, newInc); err != nil {
 			return fmt.Errorf("bump-epoch on node %d: %w", peer, err)
 		}
 	}
-	if err := fl.spawn(id); err != nil {
+	if err := fl.Spawn(id); err != nil {
 		return err
 	}
 	// The replay probe: one frame stamped with the PREVIOUS incarnation's
 	// epoch id, sent from an anonymous socket. Every peer must reject it
 	// at the first acceptance-pipeline step (epoch_drops) — the epoch
 	// check runs before authentication, by design.
-	probe := ops.ReplayProbe(uint64(fl.epoch.UnixNano())+newInc-1, protocol.NodeID(id), fl.nowTicks())
-	for _, peer := range fl.running() {
+	probe := ops.ReplayProbe(uint64(fl.Epoch().UnixNano())+newInc-1, protocol.NodeID(id), fl.NowTicks())
+	for _, peer := range fl.Running() {
 		if peer == id {
 			continue
 		}
-		conn, err := net.Dial("udp", fl.addrs[peer])
+		conn, err := net.Dial("udp", fl.Addr(peer))
 		if err != nil {
 			return err
 		}
@@ -295,17 +190,17 @@ func (fl *fleet) roll(id int) error {
 // awaitEpochDrops polls every peer's /metrics until its epoch_drops
 // counter is non-zero — the cluster-wide proof the rolled node's old
 // incarnation is dead.
-func (fl *fleet) awaitEpochDrops(rolled int) error {
+func awaitEpochDrops(fl *ops.Fleet, rolled int) error {
 	deadline := time.Now().Add(5 * time.Second)
 	pending := make(map[int]bool)
-	for _, id := range fl.running() {
+	for _, id := range fl.Running() {
 		if id != rolled {
 			pending[id] = true
 		}
 	}
 	for len(pending) > 0 {
 		for id := range pending {
-			mtr, err := fl.client(id).Metrics()
+			mtr, err := fl.Client(id).Metrics()
 			if err == nil && mtr.Counters["epoch_drops"] > 0 {
 				delete(pending, id)
 			}
@@ -323,17 +218,17 @@ func (fl *fleet) awaitEpochDrops(rolled int) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	fmt.Printf("roll: old-incarnation replay rejected by all %d peers (epoch_drops > 0)\n", len(fl.running())-1)
+	fmt.Printf("roll: old-incarnation replay rejected by all %d peers (epoch_drops > 0)\n", len(fl.Running())-1)
 	return nil
 }
 
 // awaitDecides polls a node's /metrics until it has observed at least
 // want decides (one per committed workload entry at its General).
-func (fl *fleet) awaitDecides(id int, want int64, budget time.Duration) error {
+func awaitDecides(fl *ops.Fleet, id int, want int64, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
 	var last int64
 	for {
-		mtr, err := fl.client(id).Metrics()
+		mtr, err := fl.Client(id).Metrics()
 		if err == nil {
 			last = mtr.Decides
 			if last >= want {
@@ -346,98 +241,4 @@ func (fl *fleet) awaitDecides(id int, want int64, budget time.Duration) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-func (fl *fleet) client(id int) *ops.Client {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	return fl.clients[id]
-}
-
-// running lists booted slots, ascending.
-func (fl *fleet) running() []int {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	out := make([]int, 0, len(fl.procs))
-	for id := range fl.procs {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// waitExit waits for slot id's process to exit and forgets it; the
-// process is killed if it outlives the timeout.
-func (fl *fleet) waitExit(id int, timeout time.Duration) error {
-	fl.mu.Lock()
-	cmd := fl.procs[id]
-	delete(fl.procs, id)
-	delete(fl.clients, id)
-	fl.mu.Unlock()
-	if cmd == nil {
-		return fmt.Errorf("node %d is not running", id)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(timeout):
-		_ = cmd.Process.Kill()
-		<-done
-		return fmt.Errorf("node %d did not exit within %v (killed)", id, timeout)
-	}
-}
-
-func (fl *fleet) killAll() {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	for _, cmd := range fl.procs {
-		if cmd != nil && cmd.Process != nil {
-			_ = cmd.Process.Kill()
-		}
-	}
-}
-
-// nowTicks is the wall clock read in manifest ticks since the epoch.
-func (fl *fleet) nowTicks() int64 { return int64(time.Since(fl.epoch) / fl.tick) }
-
-// sleepUntilTick blocks until the given tick's wall instant.
-func (fl *fleet) sleepUntilTick(at int64) {
-	if wait := time.Until(fl.epoch.Add(time.Duration(at) * fl.tick)); wait > 0 {
-		time.Sleep(wait)
-	}
-}
-
-// awaitFile polls for a non-empty file and returns its trimmed content.
-func awaitFile(path string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		blob, err := os.ReadFile(path)
-		if err == nil && len(blob) > 0 {
-			return strings.TrimSpace(string(blob)), nil
-		}
-		if time.Now().After(deadline) {
-			return "", fmt.Errorf("%s did not appear within %v", path, timeout)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// resolveNodeBin locates the ssbyz-node binary: the explicit flag, a
-// sibling of this executable, or PATH.
-func resolveNodeBin(flagValue string) (string, error) {
-	if flagValue != "" {
-		return flagValue, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		sibling := filepath.Join(filepath.Dir(self), "ssbyz-node")
-		if _, err := os.Stat(sibling); err == nil {
-			return sibling, nil
-		}
-	}
-	if p, err := exec.LookPath("ssbyz-node"); err == nil {
-		return p, nil
-	}
-	return "", fmt.Errorf("cannot find ssbyz-node (build it with `go build ./cmd/ssbyz-node` and pass -node-bin, or put it next to ssbyz-cluster)")
 }

@@ -6,57 +6,42 @@
 //
 // Usage:
 //
-//	ssbyz-node -manifest cluster.json -id 2 [-control 127.0.0.1:7700]
-//	           [-run-for 6000] [-initiate v1 -initiate-at 500]
+//	ssbyz-node -manifest cluster.json -id 2 [-ops 127.0.0.1:7800]
+//	           [-ops-addr-file f] [-incarnation k] [-peer-incarnations list]
 //
 // The manifest (internal/nettrans.Manifest) is the cluster's single
 // source of truth: committee parameters, tick length, every node's listen
 // address, the shared epoch (the wall-clock instant all local clocks read
 // tick 0, and the incarnation id every frame carries), and an optional
 // chaos schedule. Start one daemon per manifest entry and the cluster
-// assembles itself; `ssbyz-bench -cluster N -procs` automates exactly
-// that for a loopback smoke run.
+// assembles itself; `ssbyz-bench -cluster N -procs` and `ssbyz-cluster
+// -procs` automate exactly that on loopback (internal/ops.Fleet).
 //
-// With -control, the daemon dials the given TCP address and streams every
-// trace event (decide/abort/I-accept/…) as wire frames — the collector
-// feeds them to the property battery. The control connection is
-// bidirectional: a FrameFault sent back orders the daemon to corrupt its
-// RUNNING protocol state in place (internal/transient's arbitrary-state
-// injector, applied inside the event loop) — the live form of the
-// transient faults the paper's self-stabilization property quantifies
-// over — after which the daemon measures and reports its own
-// re-stabilization against Δstb = 2Δreset. At shutdown the daemon
-// streams a FrameStats frame carrying its per-class condition/attack
-// counters (sends, deadline/auth/epoch/decode/duplicate drops, injected
-// attack frames — the nettrans.CounterNames vector), so the collector
-// can prove which wire defenses fired. Without -control, trace events
-// print to stdout. With -initiate, the node acts as the General at the
-// given tick (subject to the sending-validity criteria IG1–IG3). The
-// daemon exits after -run-for ticks, on SIGINT/SIGTERM, or on a REST
-// drain/stop order.
+// -ops serves the internal/ops REST control plane (libpod-style), the
+// daemon's one orchestration surface: GET /healthz reports the
+// protocol-level health state (stabilized / re-stabilizing /
+// partitioned, derived from the trace and the transport counters against
+// the Δstb = 2Δreset budget), GET /metrics the full counter vector, GET
+// /events an NDJSON event stream, GET /trace every recorded trace event
+// as wire records (what a driver feeds the property battery), and POST
+// /initiate (act as the General, subject to the sending-validity
+// criteria IG1–IG3), /fault (corrupt the RUNNING protocol state in
+// place: the live form of the transient faults the paper's
+// self-stabilization property quantifies over), /bump-epoch, /drain and
+// /stop. Without -ops, trace events print to stdout. -incarnation is the
+// node's life number: a rolling replacement reboots the same manifest
+// slot at the previous incarnation + 1, every frame carries epoch +
+// incarnation as its wire epoch id, and peers (told via POST /bump-epoch
+// or -peer-incarnations) reject frames from the old life (epoch_drops).
 //
-// With -ops, the daemon additionally serves the internal/ops REST
-// control plane (libpod-style): GET /healthz reports the protocol-level
-// health state (stabilized / re-stabilizing / partitioned, derived from
-// the trace and the transport counters against the Δstb = 2Δreset
-// budget), GET /metrics the full counter vector, GET /events an NDJSON
-// event stream, and POST /initiate, /fault, /bump-epoch, /drain, /stop
-// subsume the control-socket frames for orchestrators — this is the
-// surface `ssbyz-cluster -procs` drives. -incarnation is the node's
-// life number: a rolling replacement reboots the same manifest slot at
-// the previous incarnation + 1, every frame carries epoch + incarnation
-// as its wire epoch id, and peers (told via POST /bump-epoch or
-// -peer-incarnations) reject frames from the old life (epoch_drops).
-//
-// Shutdown is ordered: the ops server drains first (the event bus
+// The daemon exits on SIGINT/SIGTERM or a REST drain/stop order, and
+// shutdown is ordered: the ops server drains first (the event bus
 // closes, so /events subscribers read a clean EOF, then in-flight
-// handlers finish), the control stream flushes its stats and bye
-// frames, and only then do the node's transports come down.
+// handlers finish), and only then do the node's transports come down.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -64,7 +49,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -74,9 +58,6 @@ import (
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/ops"
 	"ssbyz/internal/protocol"
-	"ssbyz/internal/simtime"
-	"ssbyz/internal/transient"
-	"ssbyz/internal/wire"
 )
 
 func main() {
@@ -86,25 +67,38 @@ func main() {
 	}
 }
 
+// nodeFlags is the resolved flag set, defined through defineFlags so
+// the README flag table can be pinned against it by flags_test.go.
+type nodeFlags struct {
+	manifest    *string
+	id          *int
+	ops         *string
+	opsAddrFile *string
+	incarnation *uint64
+	peerIncs    *string
+}
+
+// defineFlags registers every ssbyz-node flag on fs; README.md's flag
+// table is checked against these definitions.
+func defineFlags(fs *flag.FlagSet) *nodeFlags {
+	return &nodeFlags{
+		manifest:    fs.String("manifest", "", "cluster manifest JSON (required)"),
+		id:          fs.Int("id", -1, "this node's id in the manifest (required)"),
+		ops:         fs.String("ops", "", "serve the REST control plane (healthz/metrics/events/trace + initiate/fault/bump-epoch/drain/stop) on this TCP address (empty = off; trace events print to stdout)"),
+		opsAddrFile: fs.String("ops-addr-file", "", "write the bound ops address to this file (for -ops 127.0.0.1:0 orchestration)"),
+		incarnation: fs.Uint64("incarnation", 0, "this node's incarnation: a rolling replacement reboots the slot at the previous incarnation + 1"),
+		peerIncs:    fs.String("peer-incarnations", "", "comma-separated expected incarnation per peer (n values; default all 0); advanced at runtime via POST /bump-epoch"),
+	}
+}
+
 func run() error {
-	var (
-		manifestPath = flag.String("manifest", "", "cluster manifest JSON (required)")
-		id           = flag.Int("id", -1, "this node's id in the manifest (required)")
-		control      = flag.String("control", "", "TCP address to stream trace events to (default: print to stdout)")
-		runFor       = flag.Int64("run-for", 0, "exit after this many ticks past the epoch (0 = run until signalled)")
-		initValue    = flag.String("initiate", "", "act as the General: initiate agreement on this value")
-		initAt       = flag.Int64("initiate-at", 0, "tick (since epoch) of the -initiate initiation")
-		opsAddr      = flag.String("ops", "", "serve the REST control plane (healthz/metrics/events + initiate/fault/bump-epoch/drain/stop) on this TCP address (empty = off)")
-		opsAddrFile  = flag.String("ops-addr-file", "", "write the bound ops address to this file (for -ops 127.0.0.1:0 orchestration)")
-		incarnation  = flag.Uint64("incarnation", 0, "this node's incarnation: a rolling replacement reboots the slot at the previous incarnation + 1")
-		peerIncs     = flag.String("peer-incarnations", "", "comma-separated expected incarnation per peer (n values; default all 0); advanced at runtime via POST /bump-epoch")
-	)
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *manifestPath == "" || *id < 0 {
+	if *f.manifest == "" || *f.id < 0 {
 		return fmt.Errorf("both -manifest and -id are required (see -h)")
 	}
-	blob, err := os.ReadFile(*manifestPath)
+	blob, err := os.ReadFile(*f.manifest)
 	if err != nil {
 		return err
 	}
@@ -112,44 +106,29 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *id >= m.N {
-		return fmt.Errorf("id %d outside manifest committee [0,%d)", *id, m.N)
+	if *f.id >= m.N {
+		return fmt.Errorf("id %d outside manifest committee [0,%d)", *f.id, m.N)
 	}
-	nodeID := protocol.NodeID(*id)
-	peerIncarnations, err := parsePeerIncarnations(*peerIncs, m.N)
+	nodeID := protocol.NodeID(*f.id)
+	peerIncarnations, err := parsePeerIncarnations(*f.peerIncs, m.N)
 	if err != nil {
 		return err
 	}
 
-	// Control stream: trace events as wire frames over one TCP connection,
-	// opened before the node starts so no event is lost. The stream's
-	// epoch id carries this life's incarnation, like every wire frame.
-	wireEpoch := uint64(m.Epoch().UnixNano()) + *incarnation
-	var cs *controlStream
-	var sink func(protocol.TraceEvent)
-	if *control != "" {
-		cs, err = dialControl(*control, nodeID, wireEpoch)
-		if err != nil {
-			return fmt.Errorf("control stream: %w", err)
-		}
-		defer cs.close()
-		sink = cs.send
-	} else {
-		sink = func(ev protocol.TraceEvent) {
-			fmt.Printf("trace node=%d kind=%v G=%d m=%q rt=%d\n", ev.Node, ev.Kind, ev.G, ev.M, ev.RT)
-		}
-	}
-
-	// The ops control (when -ops is set) taps every trace event for its
-	// health-state machine. It attaches right after the node starts; the
+	// With -ops, every trace event feeds the control plane's health
+	// machine (the full trace stays in the node's recorder for GET
+	// /trace). The control attaches right after the node starts; the
 	// atomic keeps the sink race-free during that window.
 	var opsCtl atomic.Pointer[ops.Control]
-	baseSink := sink
-	sink = func(ev protocol.TraceEvent) {
+	sink := func(ev protocol.TraceEvent) {
 		if c := opsCtl.Load(); c != nil {
 			c.Observe(ev)
 		}
-		baseSink(ev)
+	}
+	if *f.ops == "" {
+		sink = func(ev protocol.TraceEvent) {
+			fmt.Printf("trace node=%d kind=%v G=%d m=%q rt=%d\n", ev.Node, ev.Kind, ev.G, ev.M, ev.RT)
+		}
 	}
 
 	// The daemon is the one runtime that is always wall-clock, and it says
@@ -165,73 +144,43 @@ func run() error {
 		clk.Sleep(wait)
 	}
 
-	node := core.NewNode()
 	cfg := m.NodeConfig(nodeID, nil, sink)
 	cfg.Clock = clk
-	cfg.Incarnation = *incarnation
+	cfg.Incarnation = *f.incarnation
 	cfg.PeerIncarnations = peerIncarnations
-	nn, err := nettrans.Start(cfg, node)
+	nn, err := nettrans.Start(cfg, core.NewNode())
 	if err != nil {
 		return err
 	}
 	defer nn.Stop()
 	fmt.Printf("ssbyz-node %d up: %s %s, n=%d f=%d d=%d ticks of %v, incarnation %d\n",
-		nodeID, m.Transport, nn.Addr(), m.N, m.Params().F, m.D, m.Tick(), *incarnation)
+		nodeID, m.Transport, nn.Addr(), m.N, m.Params().F, m.D, m.Tick(), *f.incarnation)
 
-	// The REST control plane (DESIGN.md §12): health, metrics, events,
-	// and the operator verbs. It owns its listener; Shutdown drains it
-	// BEFORE the node's transports come down.
+	// The REST control plane (DESIGN.md §12). It owns its listener;
+	// Shutdown drains it BEFORE the node's transports come down.
 	var srv *ops.Server
-	if *opsAddr != "" {
-		ln, lerr := net.Listen("tcp", *opsAddr)
+	var opsDone <-chan string
+	if *f.ops != "" {
+		ln, lerr := net.Listen("tcp", *f.ops)
 		if lerr != nil {
 			return fmt.Errorf("ops listener: %w", lerr)
 		}
 		ctl := ops.NewControl(&ops.NetBackend{NN: nn})
 		opsCtl.Store(ctl)
 		srv = ops.Serve(ln, ctl)
+		opsDone = srv.Done()
 		fmt.Printf("ssbyz-node %d ops: http://%s\n", nodeID, srv.Addr())
-		if *opsAddrFile != "" {
-			if werr := os.WriteFile(*opsAddrFile, []byte(srv.Addr()), 0o644); werr != nil {
+		if *f.opsAddrFile != "" {
+			if werr := os.WriteFile(*f.opsAddrFile, []byte(srv.Addr()), 0o644); werr != nil {
 				return fmt.Errorf("ops addr file: %w", werr)
 			}
 		}
 	}
 
-	// The control connection is bidirectional: watch it for FrameFault
-	// orders — the in-situ transient-fault injection the campaign drives.
-	if cs != nil {
-		cs.watchFaults(func(cmd wire.FaultCmd) { applyFault(nn, m, nodeID, opsCtl.Load(), cmd) })
-	}
-
-	if *initValue != "" {
-		at := m.Epoch().Add(time.Duration(*initAt) * m.Tick())
-		go func() {
-			if wait := time.Until(at); wait > 0 {
-				clk.Sleep(wait)
-			}
-			nn.Do(func(n protocol.Node) {
-				if err := n.(*core.Node).InitiateAgreement(protocol.Value(*initValue)); err != nil {
-					fmt.Fprintf(os.Stderr, "ssbyz-node %d: initiate %q: %v\n", nodeID, *initValue, err)
-				}
-			})
-		}()
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	var opsDone <-chan string
-	if srv != nil {
-		opsDone = srv.Done()
-	}
 	reason := "signal"
-	var end <-chan time.Time
-	if *runFor > 0 {
-		end = clk.After(time.Until(m.Epoch().Add(time.Duration(*runFor) * m.Tick())))
-	}
 	select {
-	case <-end:
-		reason = "run-for"
 	case <-sig:
 	case reason = <-opsDone: // REST /drain or /stop
 	}
@@ -239,21 +188,15 @@ func run() error {
 	// Ordered shutdown (the contract the Stop-ordering test pins): drain
 	// the ops listeners first — the event bus closes, so every /events
 	// subscriber reads a clean EOF over a still-healthy connection, then
-	// in-flight handlers finish. Then flush the control stream's stats
-	// and bye while the node is still up. Only then stop the transports.
+	// in-flight handlers finish. Only then stop the transports.
 	if srv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_ = srv.Shutdown(ctx)
 		cancel()
 	}
 	stats := nn.Stats()
-	if cs != nil {
-		// Stream the full per-class counter vector so the collector can
-		// prove which attacks were injected and which defenses fired.
-		cs.sendStats(stats.Counters())
-	}
 	nn.Stop()
-	fmt.Printf("ssbyz-node %d down (%s): %s\n", nodeID, reason, formatCounters(stats.Counters()))
+	fmt.Printf("ssbyz-node %d down (%s): %s\n", nodeID, reason, stats.Pairs())
 	return nil
 }
 
@@ -277,168 +220,4 @@ func parsePeerIncarnations(s string, n int) ([]uint64, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// formatCounters renders a nettrans.CounterNames vector as "name=value"
-// pairs — the human-readable form of the FrameStats payload.
-func formatCounters(vec []int64) string {
-	parts := make([]string, 0, len(vec))
-	for i, name := range nettrans.CounterNames {
-		if i >= len(vec) {
-			break
-		}
-		parts = append(parts, fmt.Sprintf("%s=%d", name, vec[i]))
-	}
-	return strings.Join(parts, " ")
-}
-
-// applyFault executes one control-socket FaultCmd: the node's RUNNING
-// protocol state is corrupted inside its event loop (arbitrary-state
-// placement, the paper's transient-fault model), a phantom mark is
-// planted under the highest committee id (which the -cluster General
-// rotation never scripts), and a watcher then reports the observed
-// re-stabilization against the Δstb = 2Δreset budget the paper's
-// self-stabilization property promises.
-func applyFault(nn *nettrans.NetNode, m nettrans.Manifest, nodeID protocol.NodeID, ctl *ops.Control, cmd wire.FaultCmd) {
-	pp := m.Params()
-	markG := protocol.NodeID(pp.N - 1)
-	at := nn.Now()
-	nn.DoWait(func(n protocol.Node) {
-		cn, ok := n.(*core.Node)
-		if !ok {
-			return
-		}
-		transient.CorruptRunning(cn, pp, transient.Config{
-			Seed:     cmd.Seed,
-			Severity: float64(cmd.SeverityPermille) / 1000,
-			InFlight: cmd.InFlight,
-			Marks:    []protocol.NodeID{markG},
-		}, nn.Now())
-	})
-	if ctl != nil {
-		// The control-socket fault opens the same /healthz convergence
-		// window as the REST form.
-		ctl.MarkFault("fault", map[string]string{"seed": fmt.Sprint(cmd.Seed)})
-	}
-	fmt.Printf("ssbyz-node %d: transient fault injected at tick %d (seed=%d severity=%d‰)\n",
-		nodeID, at, cmd.Seed, cmd.SeverityPermille)
-	go func() {
-		budget := pp.DeltaStb()
-		for {
-			time.Sleep(10 * m.Tick())
-			returned := false
-			nn.DoWait(func(n protocol.Node) {
-				if cn, ok := n.(*core.Node); ok {
-					returned, _, _ = cn.Result(markG)
-				}
-			})
-			if !returned {
-				fmt.Printf("ssbyz-node %d: re-stabilized in %d ticks (Δstb budget %d)\n",
-					nodeID, simtime.Duration(nn.Now()-at), budget)
-				return
-			}
-			if simtime.Duration(nn.Now()-at) > budget {
-				fmt.Printf("ssbyz-node %d: NOT re-stabilized within Δstb = %d ticks\n",
-					nodeID, budget)
-				return
-			}
-		}
-	}()
-}
-
-// controlStream serializes trace frames onto the collector connection.
-type controlStream struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	id      protocol.NodeID
-	epoch   uint64
-	scratch []byte
-}
-
-func dialControl(addr string, id protocol.NodeID, epoch uint64) (*controlStream, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	cs := &controlStream{conn: conn, id: id, epoch: epoch}
-	hello := wire.AppendFrame(nil, wire.Frame{Kind: wire.FrameHello, From: id, Epoch: epoch})
-	if _, err := conn.Write(hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return cs, nil
-}
-
-// send streams one trace event; errors are best-effort (the node keeps
-// running even if the collector went away).
-func (cs *controlStream) send(ev protocol.TraceEvent) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.scratch = cs.scratch[:0]
-	cs.scratch = wire.AppendFrame(cs.scratch, wire.Frame{
-		Kind:    wire.FrameTrace,
-		From:    cs.id,
-		Epoch:   cs.epoch,
-		Sent:    int64(ev.RT),
-		Payload: wire.AppendTraceEvent(nil, ev),
-	})
-	_, _ = cs.conn.Write(cs.scratch)
-}
-
-// sendStats streams the node's per-class counter vector as one
-// FrameStats frame (best-effort, like send).
-func (cs *controlStream) sendStats(counters []int64) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	frame := wire.AppendFrame(nil, wire.Frame{
-		Kind:    wire.FrameStats,
-		From:    cs.id,
-		Epoch:   cs.epoch,
-		Payload: wire.AppendCounters(nil, counters),
-	})
-	_, _ = cs.conn.Write(frame)
-}
-
-// watchFaults reads the control connection for FrameFault orders and
-// applies each through the given callback. Reads and writes share the
-// TCP connection safely; a read error (collector gone, corrupt stream)
-// just ends the watch — the node keeps running.
-func (cs *controlStream) watchFaults(apply func(wire.FaultCmd)) {
-	go func() {
-		var buf []byte
-		chunk := make([]byte, 4096)
-		for {
-			n, err := cs.conn.Read(chunk)
-			if n > 0 {
-				buf = append(buf, chunk[:n]...)
-				for {
-					f, consumed, derr := wire.DecodeFrame(buf)
-					if errors.Is(derr, wire.ErrTruncated) {
-						break
-					}
-					if derr != nil {
-						return
-					}
-					buf = buf[consumed:]
-					if f.Kind != wire.FrameFault {
-						continue
-					}
-					if cmd, _, cerr := wire.DecodeFaultCmd(f.Payload); cerr == nil {
-						apply(cmd)
-					}
-				}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-}
-
-func (cs *controlStream) close() {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	bye := wire.AppendFrame(nil, wire.Frame{Kind: wire.FrameBye, From: cs.id, Epoch: cs.epoch})
-	_, _ = cs.conn.Write(bye)
-	cs.conn.Close()
 }

@@ -109,7 +109,7 @@ func TestAdversarialCampaignDocumented(t *testing.T) {
 		"Byte-level attacks on the live wire", // recipe 6
 		"In-situ transient fault",             // recipe 7
 		"`-fault K`",                          // the flag-table row
-		"FrameFault",                          // the daemon control order
+		"POST /fault",                         // the daemon fault order
 	} {
 		if !strings.Contains(string(readme), anchor) {
 			t.Errorf("README.md lost its adversarial-campaign anchor %q", anchor)

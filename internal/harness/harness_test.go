@@ -1,61 +1,11 @@
 package harness
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
 )
-
-// TestSuiteQuick runs every experiment in quick mode and requires zero
-// property violations and non-empty tables — the reproduction's end-to-end
-// smoke test.
-func TestSuiteQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite run is seconds-long; skipped in -short")
-	}
-	for _, ex := range All() {
-		ex := ex
-		t.Run(ex.ID, func(t *testing.T) {
-			res := ex.Run(Options{Quick: true})
-			if res.Violations != 0 {
-				var buf bytes.Buffer
-				_, _ = res.WriteTo(&buf)
-				t.Errorf("%s: %d property violations\n%s", ex.ID, res.Violations, buf.String())
-			}
-			if len(res.Tables) == 0 {
-				t.Errorf("%s produced no tables", ex.ID)
-			}
-			for _, tab := range res.Tables {
-				if len(tab.Rows) == 0 {
-					t.Errorf("%s produced an empty table %q", ex.ID, tab.Title)
-				}
-			}
-		})
-	}
-}
-
-func TestRunAllWritesEveryExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite run is seconds-long; skipped in -short")
-	}
-	var buf bytes.Buffer
-	results, err := RunAll(&buf, Options{Quick: true})
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(results) != len(All()) {
-		t.Fatalf("RunAll returned %d results, want %d", len(results), len(All()))
-	}
-	out := buf.String()
-	for _, ex := range All() {
-		if !strings.Contains(out, "## "+ex.ID+" ") {
-			t.Errorf("output missing section for %s", ex.ID)
-		}
-	}
-}
 
 func TestOptionsDefaults(t *testing.T) {
 	cases := []struct {

@@ -33,6 +33,7 @@ package nettrans
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,7 +91,7 @@ type NodeConfig struct {
 	// Rec receives trace events (default: a fresh recorder).
 	Rec *protocol.Recorder
 	// Sink, when non-nil, additionally receives every trace event as it
-	// is recorded — the node daemon streams these over its control socket.
+	// is recorded — the node daemon feeds its ops health machine from it.
 	Sink func(protocol.TraceEvent)
 	// Conditions is the live chaos schedule (scripted partitions, jitter,
 	// churn mapped onto the socket path — see chaos.go).
@@ -148,9 +149,8 @@ type Stats struct {
 	ForgeFrames int64
 }
 
-// CounterNames is the fixed order of the Stats counters as a vector —
-// the schema of the FrameStats payload a node daemon streams
-// (wire.AppendCounters carries the numbers; this list is their meaning).
+// CounterNames is the fixed order of the Stats counters as a vector: the
+// keys of the ops plane's /metrics counters and the names Pairs prints.
 var CounterNames = []string{
 	"sent", "received", "late_drops", "auth_drops", "epoch_drops",
 	"chaos_drops", "decode_drops", "dup_drops", "clamps", "rate_deferrals",
@@ -158,8 +158,7 @@ var CounterNames = []string{
 	"forge_frames",
 }
 
-// Counters flattens s into the CounterNames order for FrameStats
-// streaming.
+// Counters flattens s into the CounterNames order.
 func (s Stats) Counters() []int64 {
 	return []int64{
 		s.Sent, s.Received, s.LateDrops, s.AuthDrops, s.EpochDrops,
@@ -169,8 +168,18 @@ func (s Stats) Counters() []int64 {
 	}
 }
 
-// Add accumulates other into s (cluster- and collector-side
-// aggregation).
+// Pairs renders the counter vector as space-separated "name=value"
+// pairs in CounterNames order.
+func (s Stats) Pairs() string {
+	vec := s.Counters()
+	parts := make([]string, len(vec))
+	for i, name := range CounterNames {
+		parts[i] = fmt.Sprintf("%s=%d", name, vec[i])
+	}
+	return strings.Join(parts, " ")
+}
+
+// Add accumulates other into s (cluster- and driver-side aggregation).
 func (s *Stats) Add(other Stats) {
 	s.Sent += other.Sent
 	s.Received += other.Received
@@ -190,10 +199,9 @@ func (s *Stats) Add(other Stats) {
 }
 
 // BatchStats counts the frame coalescer's packing work. Deliberately kept
-// OUTSIDE Stats: the 15-counter vector is the FrameStats schema shared
-// with older daemons, and it counts what nodes observe, which coalescing
-// must not change — only how bytes are packed. TestVirtualWireDigests
-// hashes Stats, never BatchStats, with the trace.
+// OUTSIDE Stats: the 15-counter vector counts what nodes observe, which
+// coalescing must not change — only how bytes are packed.
+// TestVirtualWireDigests hashes Stats, never BatchStats, with the trace.
 type BatchStats struct {
 	// BatchesSent counts multi-frame container datagrams written.
 	BatchesSent int64
@@ -207,24 +215,6 @@ type BatchStats struct {
 func (s *BatchStats) Add(other BatchStats) {
 	s.BatchesSent += other.BatchesSent
 	s.BatchedFrames += other.BatchedFrames
-}
-
-// StatsFromCounters is the inverse of Stats.Counters, tolerating shorter
-// vectors from older senders (missing classes read zero).
-func StatsFromCounters(v []int64) Stats {
-	var s Stats
-	fields := []*int64{
-		&s.Sent, &s.Received, &s.LateDrops, &s.AuthDrops, &s.EpochDrops,
-		&s.ChaosDrops, &s.DecodeDrops, &s.DupDrops, &s.Clamps, &s.RateDeferrals,
-		&s.DupFrames, &s.ReorderHolds, &s.CorruptFrames, &s.ReplayFrames,
-		&s.ForgeFrames,
-	}
-	for i, f := range fields {
-		if i < len(v) {
-			*f = v[i]
-		}
-	}
-	return s
 }
 
 // NetNode runs one protocol node behind a socket. It implements
@@ -393,6 +383,9 @@ func startNode(cfg NodeConfig, node protocol.Node, mkTrans func(*NetNode) (trans
 	nn.mbox.Enqueue(func() { node.Start(nn) })
 	return nn, nil
 }
+
+// Recorder returns the recorder every trace event of this node lands in.
+func (nn *NetNode) Recorder() *protocol.Recorder { return nn.rec }
 
 // Addr returns the node's resolved listen address (useful with :0).
 func (nn *NetNode) Addr() string { return nn.trans.addr() }
@@ -719,15 +712,15 @@ func (nn *NetNode) expectedEpoch(from protocol.NodeID) uint64 {
 // and true when the frame should be delivered. Every drop class counts
 // here, per frame — a batch container is just packaging, so its inner
 // frames are admitted one by one exactly as if each had its own
-// datagram. Control-stream kinds (fault, stats) have no business on the
-// data path and are discarded as decode drops.
+// datagram. A batch nested inside a batch has no business on the data
+// path and is discarded as a decode drop.
 func (nn *NetNode) admitFrame(f wire.Frame, authOK bool, now simtime.Real) (protocol.Message, bool) {
 	if f.Epoch != nn.expectedEpoch(f.From) {
 		nn.epochDrops.Add(1)
 		return protocol.Message{}, false
 	}
 	switch f.Kind {
-	case wire.FrameHello, wire.FrameBye:
+	case wire.FrameHello:
 		return protocol.Message{}, false // session bookkeeping, nothing to deliver
 	case wire.FrameMessage:
 	default:

@@ -25,8 +25,8 @@ func virtualParams(n int) protocol.Params {
 
 // goldenRun executes one seeded 7-node virtual UDP agreement to a fixed
 // virtual horizon and returns the run's two captured byte streams — the
-// trace (every TraceEvent encoded as a FrameTrace wire frame, exactly
-// the daemon control-stream encoding) and the wire record (every frame
+// trace (every TraceEvent as a concatenated wire.AppendTraceEvent
+// record, the body a daemon serves on GET /trace) and the wire record (every frame
 // the virtual wire carried, with from/to headers) — plus the battery
 // verdict count and the decide count.
 func goldenRun(t *testing.T, seed int64) (traceBlob, wireBlob []byte, decided, violations int) {
@@ -56,10 +56,8 @@ func goldenRun(t *testing.T, seed int64) (traceBlob, wireBlob []byte, decided, v
 	lr := &check.LiveResult{Result: res}
 	violations = len(lr.Battery([]check.LiveInitiation{{G: 0, V: "golden", T0: t0}}))
 
-	epochID := uint64(c.epoch.UnixNano())
-	// Canonicalize the trace the way the daemon collector merges per-node
-	// control streams: by (tick, node), keeping each node's own event
-	// order. Node event loops append to the shared recorder concurrently
+	// Canonicalize the trace the way a driver merges per-node /trace
+	// bodies: by (tick, node), keeping each node's own event order. Node event loops append to the shared recorder concurrently
 	// within a fake-clock cascade, so the raw cross-node arrival order is
 	// scheduler noise; each node's stream and every timestamp are exact.
 	events := c.rec.Events()
@@ -70,13 +68,7 @@ func goldenRun(t *testing.T, seed int64) (traceBlob, wireBlob []byte, decided, v
 		return events[i].Node < events[j].Node
 	})
 	for _, ev := range events {
-		traceBlob = wire.AppendFrame(traceBlob, wire.Frame{
-			Kind:    wire.FrameTrace,
-			From:    ev.Node,
-			Epoch:   epochID,
-			Sent:    int64(ev.RT),
-			Payload: wire.AppendTraceEvent(nil, ev),
-		})
+		traceBlob = wire.AppendTraceEvent(traceBlob, ev)
 	}
 	for _, fr := range c.Frames() {
 		var hdr [8]byte
@@ -92,7 +84,7 @@ func goldenRun(t *testing.T, seed int64) (traceBlob, wireBlob []byte, decided, v
 // executions of the same seeded 7-node virtual-time UDP run must be
 // byte-identical in both their wire record and their trace stream, the
 // battery must be clean, and the captured trace — decoded back from its
-// wire framing like a daemon control stream — must reproduce the exact
+// wire records like a daemon's /trace body — must reproduce the exact
 // verdict through check.LiveResult.
 func TestVirtualGoldenRecordReplay(t *testing.T) {
 	trace1, wire1, decided1, viol1 := goldenRun(t, 42)
@@ -118,23 +110,16 @@ func TestVirtualGoldenRecordReplay(t *testing.T) {
 		t.Fatal("empty capture: the virtual wire recorded nothing")
 	}
 
-	// Replay: decode the captured trace frames and re-run the battery.
+	// Replay: decode the captured trace records and re-run the battery.
 	var events []protocol.TraceEvent
 	var t0 simtime.Real
 	rest := trace1
 	for len(rest) > 0 {
-		f, n, err := wire.DecodeFrame(rest)
-		if err != nil {
-			t.Fatalf("replay: frame decode: %v", err)
-		}
-		rest = rest[n:]
-		if f.Kind != wire.FrameTrace {
-			t.Fatalf("replay: unexpected frame kind %v", f.Kind)
-		}
-		ev, _, err := wire.DecodeTraceEvent(f.Payload)
+		ev, n, err := wire.DecodeTraceEvent(rest)
 		if err != nil {
 			t.Fatalf("replay: trace decode: %v", err)
 		}
+		rest = rest[n:]
 		if ev.Kind == protocol.EvInitiate && ev.Node == 0 && ev.M == "golden" {
 			t0 = ev.RT
 		}

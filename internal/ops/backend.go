@@ -13,8 +13,7 @@ import (
 
 // NetBackend adapts one live NetNode to the control plane: the
 // implementation cmd/ssbyz-node serves. Initiations and fault
-// injections run inside the node's event loop (DoWait), exactly like
-// the pre-ops control-socket paths they subsume.
+// injections run inside the node's event loop (DoWait).
 type NetBackend struct {
 	NN *nettrans.NetNode
 }
@@ -26,6 +25,9 @@ func (b *NetBackend) Params() protocol.Params { return b.NN.Params() }
 func (b *NetBackend) NowTicks() simtime.Real  { return simtime.Real(b.NN.Now()) }
 func (b *NetBackend) Stats() nettrans.Stats   { return b.NN.Stats() }
 func (b *NetBackend) Incarnation() uint64     { return b.NN.Incarnation() }
+func (b *NetBackend) TraceEvents() []protocol.TraceEvent {
+	return b.NN.Recorder().Events()
+}
 
 func (b *NetBackend) BumpPeerEpoch(peer protocol.NodeID, incarnation uint64) error {
 	return b.NN.BumpPeerEpoch(peer, incarnation)
@@ -41,10 +43,9 @@ func (b *NetBackend) Initiate(slot int, v protocol.Value) error {
 	return err
 }
 
-// InjectFault corrupts the RUNNING protocol state in place — the REST
-// form of the FrameFault order: arbitrary-state placement plus a
-// phantom mark under the highest committee id, whose decay the daemon's
-// Δstb watcher observes.
+// InjectFault corrupts the RUNNING protocol state in place (POST /fault):
+// arbitrary-state placement plus a phantom mark under the highest
+// committee id, which the protocol must sweep within Δstb = 2Δreset.
 func (b *NetBackend) InjectFault(seed int64, severityPermille, inFlight int) error {
 	pp := b.NN.Params()
 	markG := protocol.NodeID(pp.N - 1)

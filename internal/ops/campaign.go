@@ -94,6 +94,9 @@ func (b *clusterBackend) Initiate(slot int, v protocol.Value) error {
 func (b *clusterBackend) InjectFault(seed int64, severityPermille, inFlight int) error {
 	return fmt.Errorf("ops: campaign backends do not inject faults")
 }
+func (b *clusterBackend) TraceEvents() []protocol.TraceEvent {
+	return b.c.Recorder().Filter(func(ev protocol.TraceEvent) bool { return ev.Node == b.id })
+}
 
 // pendingRoll tracks one executed roll until its verdicts land.
 type pendingRoll struct {

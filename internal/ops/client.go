@@ -6,13 +6,19 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
+
+	"ssbyz/internal/protocol"
+	"ssbyz/internal/wire"
 )
 
 // Client is the orchestrator's HTTP side of the control plane: thin
-// typed wrappers over the daemon endpoints, used by cmd/ssbyz-cluster
-// to boot, observe, roll, and drain a fleet over REST.
+// typed wrappers over the daemon endpoints. The multi-process drivers
+// (ssbyz-cluster -procs, ssbyz-bench -cluster -procs) reach every
+// daemon through it, via Fleet: to initiate, fault, observe, collect
+// traces, roll, and drain.
 type Client struct {
 	base string
 	http *http.Client
@@ -53,6 +59,32 @@ func (c *Client) Metrics() (Metrics, error) {
 		return Metrics{}, err
 	}
 	return m, nil
+}
+
+// TraceEvents fetches /trace and decodes the node's recorded trace.
+func (c *Client) TraceEvents() ([]protocol.TraceEvent, error) {
+	resp, err := c.http.Get(c.base + "/trace")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("ops: /trace: HTTP %d", resp.StatusCode)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	var events []protocol.TraceEvent
+	for len(blob) > 0 {
+		ev, n, err := wire.DecodeTraceEvent(blob)
+		if err != nil {
+			return nil, fmt.Errorf("ops: /trace: %w", err)
+		}
+		events = append(events, ev)
+		blob = blob[n:]
+	}
+	return events, nil
 }
 
 // Initiate posts /initiate: start agreement on value in the given slot.

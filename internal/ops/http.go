@@ -11,13 +11,14 @@ import (
 
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
+	"ssbyz/internal/wire"
 )
 
 // Server is a node's REST control plane: the podman-style per-daemon
-// API. GET /healthz (200 stabilized / 503 otherwise), GET /metrics,
-// GET /events (NDJSON stream), and POST /initiate, /fault, /bump-epoch,
-// /drain, /stop — the operations that subsume the ad-hoc control-socket
-// frames of the pre-ops daemon.
+// API and the daemon's only orchestration surface. GET /healthz (200
+// stabilized / 503 otherwise), GET /metrics, GET /events (NDJSON
+// stream), GET /trace (the recorded trace as wire records), and POST
+// /initiate, /fault, /bump-epoch, /drain, /stop.
 //
 // Shutdown ordering is part of the contract: Shutdown first closes the
 // event bus so every /events subscriber reads a clean EOF, then stops
@@ -47,6 +48,7 @@ func Serve(ln net.Listener, ctl *Control) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /events", s.handleEvents)
+	mux.HandleFunc("GET /trace", s.handleTrace)
 	mux.HandleFunc("POST /initiate", s.handleInitiate)
 	mux.HandleFunc("POST /fault", s.handleFault)
 	mux.HandleFunc("POST /bump-epoch", s.handleBumpEpoch)
@@ -116,6 +118,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleTrace serves every trace event the node has recorded, as
+// concatenated wire.AppendTraceEvent records. Unlike /events, which
+// drops events at slow subscribers by design, it is the complete trace
+// a property battery can judge.
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	var body []byte
+	for _, ev := range s.be.TraceEvents() {
+		body = wire.AppendTraceEvent(body, ev)
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
 // initiateReq is the POST /initiate body.
 type initiateReq struct {
 	Slot  int    `json:"slot"`
@@ -140,8 +156,7 @@ func (s *Server) handleInitiate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "initiated", "value": req.Value})
 }
 
-// faultReq is the POST /fault body — the REST form of the control-socket
-// FrameFault order.
+// faultReq is the POST /fault body.
 type faultReq struct {
 	Seed             int64 `json:"seed"`
 	SeverityPermille int   `json:"severity_permille"`

@@ -10,11 +10,12 @@
 // counters) and to prove it end to end (the roll campaign).
 //
 // The surface mirrors the libpod/podman server shape: a per-node REST
-// API (/healthz, /metrics, /events as NDJSON, POST initiate/fault/
-// drain/stop/bump-epoch — http.go), a health-state machine derived from
+// API (/healthz, /metrics, /events as NDJSON, /trace, POST initiate/
+// fault/drain/stop/bump-epoch — http.go), a health-state machine derived from
 // the node's actual protocol trace and transport counters (this file),
 // and a declarative cluster spec the orchestrator executes as a
-// boot→scale→roll→drain campaign (spec.go, campaign.go). Everything
+// boot→scale→roll→drain campaign (spec.go, campaign.go), with the
+// process launcher both multi-process drivers share (fleet.go). Everything
 // runs identically under the injected virtual clock, which is how the
 // campaign joins the deterministic experiment suite as V4.
 package ops
@@ -51,6 +52,9 @@ type NodeBackend interface {
 	// BumpPeerEpoch raises the expected incarnation of a peer (a roll in
 	// progress); backwards moves fail with nettrans.ErrEpochSkew.
 	BumpPeerEpoch(peer protocol.NodeID, incarnation uint64) error
+	// TraceEvents is every trace event this node has recorded so far, in
+	// recording order (the GET /trace body).
+	TraceEvents() []protocol.TraceEvent
 }
 
 // State is one of the three operational health states /healthz reports.
@@ -236,9 +240,7 @@ func (c *Control) Metrics() Metrics {
 	vec := st.Counters()
 	counters := make(map[string]int64, len(vec))
 	for i, name := range nettrans.CounterNames {
-		if i < len(vec) {
-			counters[name] = vec[i]
-		}
+		counters[name] = vec[i]
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -250,5 +252,20 @@ func (c *Control) Metrics() Metrics {
 		Decides:     c.decides,
 		Suspicions:  c.suspicions,
 		Counters:    counters,
+	}
+}
+
+// Stats reads the counters back into the transport's vector (a name
+// missing from the map reads zero); drivers sum these across daemons.
+func (m Metrics) Stats() nettrans.Stats {
+	c := m.Counters
+	return nettrans.Stats{
+		Sent: c["sent"], Received: c["received"], LateDrops: c["late_drops"],
+		AuthDrops: c["auth_drops"], EpochDrops: c["epoch_drops"],
+		ChaosDrops: c["chaos_drops"], DecodeDrops: c["decode_drops"],
+		DupDrops: c["dup_drops"], Clamps: c["clamps"],
+		RateDeferrals: c["rate_deferrals"], DupFrames: c["dup_frames"],
+		ReorderHolds: c["reorder_holds"], CorruptFrames: c["corrupt_frames"],
+		ReplayFrames: c["replay_frames"], ForgeFrames: c["forge_frames"],
 	}
 }

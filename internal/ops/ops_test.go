@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +29,7 @@ type stubBackend struct {
 	initiateErr error
 	faults      int
 	bumps       map[protocol.NodeID]uint64
+	trace       []protocol.TraceEvent
 }
 
 func newStub() *stubBackend {
@@ -80,6 +82,12 @@ func (b *stubBackend) BumpPeerEpoch(peer protocol.NodeID, incarnation uint64) er
 	}
 	b.bumps[peer] = incarnation
 	return nil
+}
+
+func (b *stubBackend) TraceEvents() []protocol.TraceEvent {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]protocol.TraceEvent(nil), b.trace...)
 }
 
 func (b *stubBackend) set(fn func(*stubBackend)) {
@@ -163,7 +171,7 @@ func serveStub(t *testing.T, be *stubBackend) (*Server, *Client) {
 }
 
 // TestServerEndpoints exercises the REST surface end to end over a real
-// listener: healthz verdict codes, metrics counter names, initiate
+// listener: healthz verdict codes, metrics counters, the trace, initiate
 // (including the 409 on IG refusals), fault, bump-epoch (409 on skew),
 // and the drain signal.
 func TestServerEndpoints(t *testing.T) {
@@ -180,7 +188,13 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %+v ok=%v err=%v, want stabilized 200", h, ok, err)
 	}
 
-	be.set(func(b *stubBackend) { b.stats.Sent = 7; b.stats.EpochDrops = 3 })
+	// Every counter distinct, so a name mixed up between Control.Metrics
+	// and Metrics.Stats shows as a mismatch.
+	full := nettrans.Stats{Sent: 7, Received: 8, LateDrops: 9, AuthDrops: 10,
+		EpochDrops: 3, ChaosDrops: 11, DecodeDrops: 12, DupDrops: 13, Clamps: 14,
+		RateDeferrals: 15, DupFrames: 16, ReorderHolds: 17, CorruptFrames: 18,
+		ReplayFrames: 19, ForgeFrames: 20}
+	be.set(func(b *stubBackend) { b.stats = full })
 	m, err := cl.Metrics()
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
@@ -188,9 +202,28 @@ func TestServerEndpoints(t *testing.T) {
 	if m.Counters["sent"] != 7 || m.Counters["epoch_drops"] != 3 {
 		t.Fatalf("metrics counters = %v", m.Counters)
 	}
-	if len(m.Counters) != len(nettrans.CounterNames) {
-		t.Fatalf("metrics carries %d counters, want the full %d-name vector",
-			len(m.Counters), len(nettrans.CounterNames))
+	if len(m.Counters) != len(nettrans.CounterNames) || m.Stats() != full {
+		t.Fatalf("metrics counters %v read back as %+v, want the full vector %+v",
+			m.Counters, m.Stats(), full)
+	}
+
+	// /trace returns the recorded events exactly, through the wire codec:
+	// negative ticks and a non-ASCII value survive the round trip.
+	if got, err := cl.TraceEvents(); err != nil || len(got) != 0 {
+		t.Fatalf("empty trace = %v, %v", got, err)
+	}
+	want := []protocol.TraceEvent{
+		{Kind: protocol.EvInitiate, Node: 0, RT: -5, Tau: -5, G: 0, M: "s⊥é"},
+		{Kind: protocol.EvIAccept, Node: 0, RT: 12, Tau: 11, G: 3, M: "v", K: 2, TauG: -3, RTauG: -4, P: 1},
+		{Kind: protocol.EvDecide, Node: 0, RT: 1 << 40, G: 0, M: "世界", TauG: 9, RTauG: 9},
+	}
+	be.set(func(b *stubBackend) { b.trace = want })
+	got, err := cl.TraceEvents()
+	if err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace = %+v, want %+v", got, want)
 	}
 
 	if err := cl.Initiate(0, "hello"); err != nil {

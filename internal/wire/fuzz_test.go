@@ -14,19 +14,12 @@ import (
 // arbitrary bytes never panics, and anything that decodes cleanly
 // re-encodes to a decode-equal value (no lossy acceptance).
 
-// seedFrames returns valid encodings covering every frame kind.
-func seedFrames() [][]byte {
+// dataFrames returns valid encodings of the data-path frame kinds.
+func dataFrames() [][]byte {
 	msg := AppendMessage(nil, protocol.Message{Kind: protocol.Ready, G: 2, M: "s⊥", P: 1, K: 3, Aux: -9, From: 5})
-	ev := AppendTraceEvent(nil, protocol.TraceEvent{Kind: protocol.EvIAccept, Node: 3, RT: 777, Tau: -2, G: 1, M: "m", K: 2, TauG: 5, RTauG: 6, P: 4})
-	fault := AppendFaultCmd(nil, FaultCmd{Seed: 99, SeverityPermille: 750, InFlight: 14})
-	stats := AppendCounters(nil, []int64{5, 4, 0, 1, -1, 1 << 33})
 	return [][]byte{
 		AppendFrame(nil, Frame{Kind: FrameHello, From: 0, Epoch: 1}),
 		AppendFrame(nil, Frame{Kind: FrameMessage, From: 1, Epoch: 1 << 62, Sent: 99, Payload: msg}),
-		AppendFrame(nil, Frame{Kind: FrameTrace, From: 2, Epoch: 3, Sent: -4, Payload: ev}),
-		AppendFrame(nil, Frame{Kind: FrameBye, From: 3, Epoch: 3, Sent: 1000}),
-		AppendFrame(nil, Frame{Kind: FrameFault, From: 4, Epoch: 8, Sent: 12, Payload: fault}),
-		AppendFrame(nil, Frame{Kind: FrameStats, From: 5, Epoch: 8, Sent: 13, Payload: stats}),
 		// The incarnation-id envelope under attack: a replayed frame whose
 		// epoch was bumped to the next incarnation, and maximal epochs.
 		AppendFrame(nil, Frame{Kind: FrameMessage, From: 1, Epoch: (1 << 62) + 1, Sent: 99, Payload: msg}),
@@ -34,8 +27,21 @@ func seedFrames() [][]byte {
 	}
 }
 
+// retiredFrames returns well-formed envelopes under the retired kind
+// numbers 3–6 (the former control-stream kinds), which DecodeFrame must
+// reject as unknown.
+func retiredFrames() [][]byte {
+	ev := AppendTraceEvent(nil, protocol.TraceEvent{Kind: protocol.EvIAccept, Node: 3, RT: 777, Tau: -2, G: 1, M: "m", K: 2, TauG: 5, RTauG: 6, P: 4})
+	return [][]byte{
+		AppendFrame(nil, Frame{Kind: 3, From: 2, Epoch: 3, Sent: -4, Payload: ev}),
+		AppendFrame(nil, Frame{Kind: 4, From: 3, Epoch: 3, Sent: 1000}),
+		AppendFrame(nil, Frame{Kind: 5, From: 4, Epoch: 8, Sent: 12, Payload: []byte{0xc6, 0x01, 0xdc, 0x0b, 0x1c}}),
+		AppendFrame(nil, Frame{Kind: 6, From: 5, Epoch: 8, Sent: 13, Payload: []byte{6, 10, 8, 0, 2, 1}}),
+	}
+}
+
 func FuzzDecodeFrame(f *testing.F) {
-	for _, b := range seedFrames() {
+	for _, b := range append(dataFrames(), retiredFrames()...) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])                   // truncation
 		f.Add(append([]byte{0xff}, b...))     // misaligned garbage
@@ -128,29 +134,6 @@ func FuzzMessageFields(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFaultCmd: arbitrary bytes never panic the fault-command
-// decoder, and accepted commands re-encode decode-equal.
-func FuzzDecodeFaultCmd(f *testing.F) {
-	f.Add(AppendFaultCmd(nil, FaultCmd{Seed: 7, SeverityPermille: 1000, InFlight: 8}))
-	f.Add(AppendFaultCmd(nil, FaultCmd{Seed: -(1 << 55)}))
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0x80}, 16))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		c, n, err := DecodeFaultCmd(b)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(b) {
-			t.Fatalf("consumed %d of %d bytes", n, len(b))
-		}
-		re := AppendFaultCmd(nil, c)
-		c2, _, err := DecodeFaultCmd(re)
-		if err != nil || c2 != c {
-			t.Fatalf("re-encode not stable: %+v vs %+v (%v)", c, c2, err)
-		}
-	})
-}
-
 // buildBatch coalesces the given frame encodings the way the transport
 // does: concatenated into one scratch buffer with end offsets.
 func buildBatch(from protocol.NodeID, epoch uint64, sent int64, frames [][]byte) []byte {
@@ -171,7 +154,7 @@ func buildBatch(from protocol.NodeID, epoch uint64, sent int64, frames [][]byte)
 // never silently migrate to a different sender (attribution lives in
 // the inner bytes, which round-trip exactly).
 func FuzzDecodeBatch(f *testing.F) {
-	inner := seedFrames()
+	inner := dataFrames()
 	whole := buildBatch(1, 7, 42, inner)
 	f.Add(whole)
 	f.Add(whole[:len(whole)-3])             // truncation mid-inner-frame
@@ -244,7 +227,7 @@ func FuzzDecodeBatch(f *testing.F) {
 // with its own From intact, independent of the container's envelope
 // sender.
 func TestBatchAttribution(t *testing.T) {
-	frames := seedFrames()
+	frames := dataFrames()
 	b := buildBatch(99, 5, 1, frames)
 	fr, _, err := DecodeFrame(b)
 	if err != nil || fr.Kind != FrameBatch || fr.From != 99 {
@@ -284,7 +267,7 @@ func TestBatchAttribution(t *testing.T) {
 // frame's bytes (the chaos layer's corruption model) leaves the
 // container framing intact, so every other inner frame still decodes.
 func TestBatchCorruptInnerContentSparesMates(t *testing.T) {
-	frames := seedFrames()
+	frames := dataFrames()
 	b := buildBatch(1, 5, 1, frames)
 	fr, _, err := DecodeFrame(b)
 	if err != nil {
@@ -326,33 +309,4 @@ func TestBatchCorruptInnerContentSparesMates(t *testing.T) {
 	if dropped != 1 || decoded != len(frames)-1 {
 		t.Fatalf("decoded=%d dropped=%d, want %d/1", decoded, dropped, len(frames)-1)
 	}
-}
-
-// FuzzDecodeCounters: the stats-vector decoder neither panics nor
-// allocates past MaxCounters on arbitrary bytes, and accepted vectors
-// re-encode decode-equal.
-func FuzzDecodeCounters(f *testing.F) {
-	f.Add(AppendCounters(nil, []int64{1, 2, 3}))
-	f.Add(AppendCounters(nil, nil))
-	f.Add(appendUvarint(nil, MaxCounters+1))
-	f.Add(bytes.Repeat([]byte{0xff}, 24))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		v, n, err := DecodeCounters(b)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(b) || len(v) > MaxCounters {
-			t.Fatalf("consumed %d of %d bytes, %d counters", n, len(b), len(v))
-		}
-		re := AppendCounters(nil, v)
-		v2, _, err := DecodeCounters(re)
-		if err != nil || len(v2) != len(v) {
-			t.Fatalf("re-encode not stable: %v vs %v (%v)", v, v2, err)
-		}
-		for i := range v {
-			if v2[i] != v[i] {
-				t.Fatalf("counter %d: %d != %d", i, v2[i], v[i])
-			}
-		}
-	})
 }

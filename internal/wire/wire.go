@@ -65,32 +65,20 @@ type FrameKind uint8
 
 const (
 	// FrameHello opens a session: the payload is empty, the envelope's
-	// From/Epoch identify the peer. TCP peers and control streams send it
-	// first.
-	FrameHello FrameKind = iota + 1
+	// From/Epoch identify the peer. TCP peers send it first.
+	FrameHello FrameKind = 1
 	// FrameMessage carries one encoded protocol.Message.
-	FrameMessage
-	// FrameTrace carries one encoded protocol.TraceEvent (the control
-	// stream a node daemon reports on).
-	FrameTrace
-	// FrameBye announces an orderly shutdown of the sender.
-	FrameBye
-	// FrameFault carries one encoded FaultCmd: a control-channel order to
-	// corrupt the receiving daemon's in-memory protocol state mid-run (the
-	// transient-fault injection the self-stabilization property quantifies
-	// over). Only the control stream accepts it; a data-path frame of this
-	// kind is discarded.
-	FrameFault
-	// FrameStats carries an encoded counter vector (AppendCounters): the
-	// transport's per-class traffic/drop/attack counters, streamed by a
-	// node daemon so a collector can prove which defenses fired.
-	FrameStats
+	FrameMessage FrameKind = 2
 	// FrameBatch carries a coalesced batch of complete inner frames
 	// (batch.go): COUNT then COUNT × (LEN, frame bytes). One batch is one
 	// datagram / one stream record; every inner frame is authenticated and
 	// checked individually on receipt.
-	FrameBatch
+	FrameBatch FrameKind = 7
 )
+
+// knownKinds has bit k set for every frame kind DecodeFrame accepts.
+// Kinds 3–6 are retired numbers and stay unknown.
+const knownKinds uint64 = 1<<FrameHello | 1<<FrameMessage | 1<<FrameBatch
 
 func (k FrameKind) String() string {
 	switch k {
@@ -98,14 +86,6 @@ func (k FrameKind) String() string {
 		return "hello"
 	case FrameMessage:
 		return "message"
-	case FrameTrace:
-		return "trace"
-	case FrameBye:
-		return "bye"
-	case FrameFault:
-		return "fault"
-	case FrameStats:
-		return "stats"
 	case FrameBatch:
 		return "batch"
 	}
@@ -260,7 +240,9 @@ func DecodeMessage(b []byte) (protocol.Message, int, error) {
 // ---- protocol.TraceEvent ----
 
 // AppendTraceEvent appends the version-1 encoding of ev to dst. Field
-// order: Kind, Node, RT, Tau, G, K, TauG, RTauG, P, M.
+// order: Kind, Node, RT, Tau, G, K, TauG, RTauG, P, M. Records are
+// self-delimiting, so a whole trace is their plain concatenation (the
+// body the ops plane serves on GET /trace).
 func AppendTraceEvent(dst []byte, ev protocol.TraceEvent) []byte {
 	dst = appendVarint(dst, int64(ev.Kind))
 	dst = appendVarint(dst, int64(ev.Node))
@@ -358,7 +340,7 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 		return f, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, b[2])
 	}
 	f.Kind = FrameKind(b[3])
-	if f.Kind < FrameHello || f.Kind > FrameBatch {
+	if knownKinds>>b[3]&1 == 0 {
 		return f, 0, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, b[3])
 	}
 	var v int64
@@ -388,91 +370,4 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	}
 	f.Payload = b[off : off+int(u)]
 	return f, off + int(u), nil
-}
-
-// ---- FaultCmd (FrameFault payload) ----
-
-// FaultCmd is a transient-fault injection order sent to a running node
-// daemon over its control stream: "corrupt your in-memory protocol state
-// now, seeded and scaled as follows". It is the live form of the
-// arbitrary-state placement the paper's self-stabilization property
-// quantifies over; the daemon applies it inside its event loop and the
-// campaign then measures re-stabilization against Δstb.
-type FaultCmd struct {
-	// Seed drives the corruption RNG (independent of every other seed).
-	Seed int64
-	// SeverityPermille scales each corruption class's hit probability in
-	// thousandths (1000 = corrupt everything; 0 means the default, 1000).
-	SeverityPermille int
-	// InFlight is the number of spurious forged-sender messages delivered
-	// to the node alongside the state corruption (0 = the injector's
-	// default of 2n).
-	InFlight int
-}
-
-// AppendFaultCmd appends the version-1 encoding of c to dst. Field
-// order: Seed, SeverityPermille, InFlight.
-func AppendFaultCmd(dst []byte, c FaultCmd) []byte {
-	dst = appendVarint(dst, c.Seed)
-	dst = appendVarint(dst, int64(c.SeverityPermille))
-	dst = appendVarint(dst, int64(c.InFlight))
-	return dst
-}
-
-// DecodeFaultCmd decodes one fault command from b, returning it and the
-// bytes consumed.
-func DecodeFaultCmd(b []byte) (FaultCmd, int, error) {
-	var c FaultCmd
-	var v int64
-	var err error
-	off := 0
-	if v, off, err = varint(b, off); err != nil {
-		return c, off, err
-	}
-	c.Seed = v
-	if v, off, err = varint(b, off); err != nil {
-		return c, off, err
-	}
-	c.SeverityPermille = int(v)
-	if v, off, err = varint(b, off); err != nil {
-		return c, off, err
-	}
-	c.InFlight = int(v)
-	return c, off, nil
-}
-
-// ---- counter vector (FrameStats payload) ----
-
-// MaxCounters bounds a decoded counter vector's length; a corrupt count
-// prefix larger than this is a decode error, not an allocation.
-const MaxCounters = 64
-
-// AppendCounters appends a length-prefixed vector of signed counters to
-// dst. The vector's meaning is the sender's (nettrans fixes the order of
-// its Stats counters); the codec only carries the numbers.
-func AppendCounters(dst []byte, counters []int64) []byte {
-	dst = appendUvarint(dst, uint64(len(counters)))
-	for _, c := range counters {
-		dst = appendVarint(dst, c)
-	}
-	return dst
-}
-
-// DecodeCounters decodes a counter vector from b, returning it and the
-// bytes consumed.
-func DecodeCounters(b []byte) ([]int64, int, error) {
-	l, off, err := uvarint(b, 0)
-	if err != nil {
-		return nil, off, err
-	}
-	if l > MaxCounters {
-		return nil, off, fmt.Errorf("%w: counter vector length %d exceeds %d", ErrCorrupt, l, MaxCounters)
-	}
-	out := make([]int64, l)
-	for i := range out {
-		if out[i], off, err = varint(b, off); err != nil {
-			return nil, off, err
-		}
-	}
-	return out, off, nil
 }
