@@ -1,11 +1,65 @@
 package harness
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
 )
+
+// TestSuiteQuick requires zero property violations and non-empty tables
+// from every experiment of the shared quick-suite render — the
+// reproduction's end-to-end smoke test.
+func TestSuiteQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite run is seconds-long; skipped in -short")
+	}
+	suite := sharedQuickSuite(t)
+	for i, ex := range All() {
+		if i >= len(suite.results) {
+			t.Fatalf("RunAll returned %d results, want %d", len(suite.results), len(All()))
+		}
+		res := suite.results[i]
+		t.Run(ex.ID, func(t *testing.T) {
+			if res.ID != ex.ID {
+				t.Fatalf("result %d is %s, want %s", i, res.ID, ex.ID)
+			}
+			if res.Violations != 0 {
+				var buf bytes.Buffer
+				_, _ = res.WriteTo(&buf)
+				t.Errorf("%s: %d property violations\n%s", ex.ID, res.Violations, buf.String())
+			}
+			if len(res.Tables) == 0 {
+				t.Errorf("%s produced no tables", ex.ID)
+			}
+			for _, tab := range res.Tables {
+				if len(tab.Rows) == 0 {
+					t.Errorf("%s produced an empty table %q", ex.ID, tab.Title)
+				}
+			}
+		})
+	}
+}
+
+// TestRunAllWritesEveryExperiment requires the shared render to hold one
+// result and one "## ID" section per experiment.
+func TestRunAllWritesEveryExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite run is seconds-long; skipped in -short")
+	}
+	suite := sharedQuickSuite(t)
+	if len(suite.results) != len(All()) {
+		t.Fatalf("RunAll returned %d results, want %d", len(suite.results), len(All()))
+	}
+	out := string(suite.out)
+	for _, ex := range All() {
+		if !strings.Contains(out, "## "+ex.ID+" ") {
+			t.Errorf("output missing section for %s", ex.ID)
+		}
+	}
+}
 
 func TestOptionsDefaults(t *testing.T) {
 	cases := []struct {

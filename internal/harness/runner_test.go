@@ -3,7 +3,7 @@ package harness
 import (
 	"bytes"
 	"runtime"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -95,59 +95,47 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
-// TestRunAllDeterministicAcrossWorkers renders the quick suite once at
-// Workers 1 and once at Workers 8, and every whole-suite assertion reads
-// those two renders: the report must be byte-identical across worker
-// counts, RunAll must return one result and write one "## ID" section
-// per experiment, and every experiment (one subtest each) must report
-// zero property violations and only non-empty tables — the
-// reproduction's end-to-end smoke test. Run under -race this also
-// exercises the pool for data races.
+// quickSuite is the package's one Workers=1 render of the quick suite.
+// TestSuiteQuick, TestRunAllWritesEveryExperiment and
+// TestRunAllDeterministicAcrossWorkers all read it, so `go test` renders
+// the whole suite twice (Workers 1 and 8) instead of once per test.
+var quickSuite = sync.OnceValues(func() (quickRender, error) {
+	var buf bytes.Buffer
+	results, err := RunAll(&buf, Options{Quick: true, Workers: 1})
+	return quickRender{results: results, out: buf.Bytes()}, err
+})
+
+type quickRender struct {
+	results []*Result
+	out     []byte
+}
+
+// sharedQuickSuite returns the shared render, failing t if it errored.
+func sharedQuickSuite(t *testing.T) quickRender {
+	t.Helper()
+	r, err := quickSuite()
+	if err != nil {
+		t.Fatalf("RunAll(Workers=1): %v", err)
+	}
+	return r
+}
+
+// TestRunAllDeterministicAcrossWorkers is the suite-level determinism
+// gate: the full quick-mode report must be byte-identical whether cells
+// run one at a time (the shared render) or fanned across eight workers.
+// Run under -race this also exercises the pool for data races.
 func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick suite twice; skipped in -short")
 	}
-	var seq, par bytes.Buffer
-	results, err := RunAll(&seq, Options{Quick: true, Workers: 1})
-	if err != nil {
-		t.Fatalf("RunAll(Workers=1): %v", err)
-	}
+	seq := sharedQuickSuite(t)
+	var par bytes.Buffer
 	if _, err := RunAll(&par, Options{Quick: true, Workers: 8}); err != nil {
 		t.Fatalf("RunAll(Workers=8): %v", err)
 	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+	if !bytes.Equal(seq.out, par.Bytes()) {
 		t.Errorf("suite output differs between Workers=1 (%d bytes) and Workers=8 (%d bytes)",
-			seq.Len(), par.Len())
-	}
-
-	exps := All()
-	if len(results) != len(exps) {
-		t.Fatalf("RunAll returned %d results, want %d", len(results), len(exps))
-	}
-	out := seq.String()
-	for i, ex := range exps {
-		res := results[i]
-		t.Run(ex.ID, func(t *testing.T) {
-			if res.ID != ex.ID {
-				t.Fatalf("result %d is %s, want %s", i, res.ID, ex.ID)
-			}
-			if !strings.Contains(out, "## "+ex.ID+" ") {
-				t.Errorf("output missing section for %s", ex.ID)
-			}
-			if res.Violations != 0 {
-				var buf bytes.Buffer
-				_, _ = res.WriteTo(&buf)
-				t.Errorf("%s: %d property violations\n%s", ex.ID, res.Violations, buf.String())
-			}
-			if len(res.Tables) == 0 {
-				t.Errorf("%s produced no tables", ex.ID)
-			}
-			for _, tab := range res.Tables {
-				if len(tab.Rows) == 0 {
-					t.Errorf("%s produced an empty table %q", ex.ID, tab.Title)
-				}
-			}
-		})
+			len(seq.out), par.Len())
 	}
 }
 

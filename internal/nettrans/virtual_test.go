@@ -70,14 +70,48 @@ func goldenRun(t *testing.T, seed int64) (traceBlob, wireBlob []byte, decided, v
 	for _, ev := range events {
 		traceBlob = wire.AppendTraceEvent(traceBlob, ev)
 	}
-	for _, fr := range c.Frames() {
+	return traceBlob, wireRecord(t, c.Frames()), decided, violations
+}
+
+// wireRecord flattens a captured wire record into one byte stream with a
+// from/to header per frame. Batch containers are opened and each inner
+// frame is written alone: which frames share a container depends on when
+// each sender's coalescer flush runs relative to the other event loops,
+// so container boundaries are scheduler noise, while every link's frame
+// sequence — the bytes the receivers decode — is a pure function of the
+// seeded schedule.
+func wireRecord(t *testing.T, frames []CapturedFrame) []byte {
+	t.Helper()
+	var blob []byte
+	put := func(from, to protocol.NodeID, raw []byte) {
 		var hdr [8]byte
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(fr.From))
-		binary.BigEndian.PutUint32(hdr[4:8], uint32(fr.To))
-		wireBlob = append(wireBlob, hdr[:]...)
-		wireBlob = append(wireBlob, fr.Bytes...)
+		binary.BigEndian.PutUint32(hdr[0:4], uint32(from))
+		binary.BigEndian.PutUint32(hdr[4:8], uint32(to))
+		blob = append(blob, hdr[:]...)
+		blob = append(blob, raw...)
 	}
-	return traceBlob, wireBlob, decided, violations
+	for _, fr := range frames {
+		f, _, err := wire.DecodeFrame(fr.Bytes)
+		if err != nil || f.Kind != wire.FrameBatch {
+			put(fr.From, fr.To, fr.Bytes)
+			continue
+		}
+		br, err := wire.ReadBatch(f.Payload)
+		if err != nil {
+			t.Fatalf("captured container does not open: %v", err)
+		}
+		for {
+			raw, ok := br.Next()
+			if !ok {
+				break
+			}
+			put(fr.From, fr.To, raw)
+		}
+		if err := br.Err(); err != nil {
+			t.Fatalf("captured container iteration: %v", err)
+		}
+	}
+	return blob
 }
 
 // TestVirtualGoldenRecordReplay is the record/replay golden test: two
