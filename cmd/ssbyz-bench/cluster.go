@@ -400,7 +400,7 @@ func runClusterProcs(o clusterOpts, pp protocol.Params) error {
 	fl.SleepUntilTick(horizon)
 
 	var events []protocol.TraceEvent
-	var total nettrans.Stats
+	total := make([]int64, len(nettrans.CounterNames))
 	for _, id := range ids {
 		cl := fl.Client(id)
 		evs, err := cl.TraceEvents()
@@ -412,7 +412,9 @@ func runClusterProcs(o clusterOpts, pp protocol.Params) error {
 		if err != nil {
 			return fmt.Errorf("node %d metrics: %w", id, err)
 		}
-		total.Add(mtr.Stats())
+		for i, name := range nettrans.CounterNames {
+			total[i] += mtr.Counters[name]
+		}
 	}
 	end := simtime.Duration(fl.NowTicks()) + 1
 	var procErrs []error
@@ -430,7 +432,7 @@ func runClusterProcs(o clusterOpts, pp protocol.Params) error {
 		return errors.Join(procErrs...)
 	}
 	fmt.Printf("collected %d trace events from %d daemons\n", len(events), pp.N)
-	fmt.Printf("traffic: %s\n", total.Pairs())
+	fmt.Printf("traffic: %s\n", nettrans.StatsOf(total).Pairs())
 
 	correct := make([]protocol.NodeID, pp.N)
 	for i := range correct {

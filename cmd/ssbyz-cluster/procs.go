@@ -41,19 +41,19 @@ func runProcs(f *clusterFlags, spec ops.ClusterSpec) error {
 	}
 	defer fl.Close()
 
-	// Boot everything except the scale targets.
+	// Boot everything except the scale targets, one daemon at a time:
+	// each starts once the previous one has published its ops address.
 	held := make(map[int]bool)
 	for _, id := range spec.ScaleTargets() {
 		held[int(id)] = true
 	}
-	var boot []int
 	for id := 0; id < pp.N; id++ {
-		if !held[id] {
-			boot = append(boot, id)
+		if held[id] {
+			continue
 		}
-	}
-	if err := fl.Spawn(boot...); err != nil {
-		return err
+		if err := fl.Spawn(id); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("fleet up: %d/%d daemons (scale targets held: %d), epoch %s\n",
 		pp.N-len(held), pp.N, len(held), fl.Epoch().Format(time.RFC3339Nano))

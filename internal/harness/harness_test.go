@@ -13,9 +13,6 @@ import (
 // from every experiment of the shared quick-suite render — the
 // reproduction's end-to-end smoke test.
 func TestSuiteQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite run is seconds-long; skipped in -short")
-	}
 	suite := sharedQuickSuite(t)
 	for i, ex := range All() {
 		if i >= len(suite.results) {
@@ -46,9 +43,6 @@ func TestSuiteQuick(t *testing.T) {
 // TestRunAllWritesEveryExperiment requires the shared render to hold one
 // result and one "## ID" section per experiment.
 func TestRunAllWritesEveryExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite run is seconds-long; skipped in -short")
-	}
 	suite := sharedQuickSuite(t)
 	if len(suite.results) != len(All()) {
 		t.Fatalf("RunAll returned %d results, want %d", len(suite.results), len(All()))

@@ -95,28 +95,44 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
-// quickSuite is the package's one Workers=1 render of the quick suite.
-// TestSuiteQuick, TestRunAllWritesEveryExperiment and
-// TestRunAllDeterministicAcrossWorkers all read it, so `go test` renders
-// the whole suite twice (Workers 1 and 8) instead of once per test.
-var quickSuite = sync.OnceValues(func() (quickRender, error) {
-	var buf bytes.Buffer
-	results, err := RunAll(&buf, Options{Quick: true, Workers: 1})
-	return quickRender{results: results, out: buf.Bytes()}, err
-})
+// quickRenders holds the package's Workers=1 renders of the quick suite,
+// one per GOMAXPROCS value. TestSuiteQuick,
+// TestRunAllWritesEveryExperiment and TestRunAllDeterministicAcrossWorkers
+// all read it, so `go test` renders the whole suite twice (Workers 1 and
+// 8) instead of once per test, while each `-cpu` value still renders
+// Workers=1 under its own GOMAXPROCS (the live cells' goroutines under
+// -race).
+var (
+	quickMu      sync.Mutex
+	quickRenders = map[int]quickRender{}
+)
 
 type quickRender struct {
 	results []*Result
 	out     []byte
 }
 
-// sharedQuickSuite returns the shared render, failing t if it errored.
+// sharedQuickSuite returns the render for the current GOMAXPROCS,
+// rendering it on first use and failing t if that errors. It skips t in
+// -short: the render is seconds-long.
 func sharedQuickSuite(t *testing.T) quickRender {
 	t.Helper()
-	r, err := quickSuite()
+	if testing.Short() {
+		t.Skip("renders the quick suite; skipped in -short")
+	}
+	quickMu.Lock()
+	defer quickMu.Unlock()
+	procs := runtime.GOMAXPROCS(0)
+	if r, ok := quickRenders[procs]; ok {
+		return r
+	}
+	var buf bytes.Buffer
+	results, err := RunAll(&buf, Options{Quick: true, Workers: 1})
 	if err != nil {
 		t.Fatalf("RunAll(Workers=1): %v", err)
 	}
+	r := quickRender{results: results, out: buf.Bytes()}
+	quickRenders[procs] = r
 	return r
 }
 
@@ -125,9 +141,6 @@ func sharedQuickSuite(t *testing.T) quickRender {
 // run one at a time (the shared render) or fanned across eight workers.
 // Run under -race this also exercises the pool for data races.
 func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick suite twice; skipped in -short")
-	}
 	seq := sharedQuickSuite(t)
 	var par bytes.Buffer
 	if _, err := RunAll(&par, Options{Quick: true, Workers: 8}); err != nil {

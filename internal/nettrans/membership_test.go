@@ -175,7 +175,12 @@ func TestRollCampaignDeterministic(t *testing.T) {
 		if done := c.AwaitDecisions(1, "b", budget); done != 4 {
 			t.Fatalf("post-roll: %d/4 decided", done)
 		}
-		return wireRecord(t, c.Frames())
+		var blob []byte
+		for _, f := range c.Frames() {
+			blob = append(blob, byte(f.From), byte(f.To))
+			blob = append(blob, f.Bytes...)
+		}
+		return blob
 	}
 	if a, b := run(), run(); !bytes.Equal(a, b) {
 		t.Fatalf("roll campaign diverged across identical runs: %d vs %d record bytes", len(a), len(b))

@@ -158,14 +158,36 @@ var CounterNames = []string{
 	"forge_frames",
 }
 
+// fields lists pointers to s's counters in CounterNames order: the one
+// mapping between counter names and Stats fields, read by Counters and
+// StatsOf.
+func (s *Stats) fields() []*int64 {
+	return []*int64{
+		&s.Sent, &s.Received, &s.LateDrops, &s.AuthDrops, &s.EpochDrops,
+		&s.ChaosDrops, &s.DecodeDrops, &s.DupDrops, &s.Clamps, &s.RateDeferrals,
+		&s.DupFrames, &s.ReorderHolds, &s.CorruptFrames, &s.ReplayFrames,
+		&s.ForgeFrames,
+	}
+}
+
 // Counters flattens s into the CounterNames order.
 func (s Stats) Counters() []int64 {
-	return []int64{
-		s.Sent, s.Received, s.LateDrops, s.AuthDrops, s.EpochDrops,
-		s.ChaosDrops, s.DecodeDrops, s.DupDrops, s.Clamps, s.RateDeferrals,
-		s.DupFrames, s.ReorderHolds, s.CorruptFrames, s.ReplayFrames,
-		s.ForgeFrames,
+	fields := s.fields()
+	vec := make([]int64, len(fields))
+	for i, p := range fields {
+		vec[i] = *p
 	}
+	return vec
+}
+
+// StatsOf is the inverse of Counters: it reads a vector in CounterNames
+// order back into Stats.
+func StatsOf(vec []int64) Stats {
+	var s Stats
+	for i, p := range s.fields() {
+		*p = vec[i]
+	}
+	return s
 }
 
 // Pairs renders the counter vector as space-separated "name=value"

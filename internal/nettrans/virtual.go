@@ -228,9 +228,8 @@ func (w *memWire) pump() {
 // order — is what makes the record byte-identical run to run: within
 // one fake-clock cascade several node event loops send concurrently,
 // so append order is scheduler noise, while the key is a pure function
-// of the seeded schedule. Container boundaries are not (see the file
-// comment): the record/replay golden tests open every container and
-// pin the frame sequence of each link.
+// of the seeded schedule. The record/replay golden tests pin exactly
+// that.
 func (c *Cluster) Frames() []CapturedFrame {
 	if c.wire == nil {
 		return nil

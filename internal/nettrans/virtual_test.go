@@ -26,9 +26,9 @@ func virtualParams(n int) protocol.Params {
 // goldenRun executes one seeded 7-node virtual UDP agreement to a fixed
 // virtual horizon and returns the run's two captured byte streams — the
 // trace (every TraceEvent as a concatenated wire.AppendTraceEvent
-// record, the body a daemon serves on GET /trace) and the wire record (every frame
-// the virtual wire carried, with from/to headers) — plus the battery
-// verdict count and the decide count.
+// record, the body a daemon serves on GET /trace) and the wire record
+// (every frame the virtual wire carried, with from/to headers) — plus
+// the battery verdict count and the decide count.
 func goldenRun(t *testing.T, seed int64) (traceBlob, wireBlob []byte, decided, violations int) {
 	t.Helper()
 	pp := virtualParams(7)
@@ -57,8 +57,9 @@ func goldenRun(t *testing.T, seed int64) (traceBlob, wireBlob []byte, decided, v
 	violations = len(lr.Battery([]check.LiveInitiation{{G: 0, V: "golden", T0: t0}}))
 
 	// Canonicalize the trace the way a driver merges per-node /trace
-	// bodies: by (tick, node), keeping each node's own event order. Node event loops append to the shared recorder concurrently
-	// within a fake-clock cascade, so the raw cross-node arrival order is
+	// bodies: by (tick, node), keeping each node's own event order. Node
+	// event loops append to the shared recorder concurrently within a
+	// fake-clock cascade, so the raw cross-node arrival order is
 	// scheduler noise; each node's stream and every timestamp are exact.
 	events := c.rec.Events()
 	sort.SliceStable(events, func(i, j int) bool {
@@ -70,48 +71,14 @@ func goldenRun(t *testing.T, seed int64) (traceBlob, wireBlob []byte, decided, v
 	for _, ev := range events {
 		traceBlob = wire.AppendTraceEvent(traceBlob, ev)
 	}
-	return traceBlob, wireRecord(t, c.Frames()), decided, violations
-}
-
-// wireRecord flattens a captured wire record into one byte stream with a
-// from/to header per frame. Batch containers are opened and each inner
-// frame is written alone: which frames share a container depends on when
-// each sender's coalescer flush runs relative to the other event loops,
-// so container boundaries are scheduler noise, while every link's frame
-// sequence — the bytes the receivers decode — is a pure function of the
-// seeded schedule.
-func wireRecord(t *testing.T, frames []CapturedFrame) []byte {
-	t.Helper()
-	var blob []byte
-	put := func(from, to protocol.NodeID, raw []byte) {
+	for _, fr := range c.Frames() {
 		var hdr [8]byte
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(from))
-		binary.BigEndian.PutUint32(hdr[4:8], uint32(to))
-		blob = append(blob, hdr[:]...)
-		blob = append(blob, raw...)
+		binary.BigEndian.PutUint32(hdr[0:4], uint32(fr.From))
+		binary.BigEndian.PutUint32(hdr[4:8], uint32(fr.To))
+		wireBlob = append(wireBlob, hdr[:]...)
+		wireBlob = append(wireBlob, fr.Bytes...)
 	}
-	for _, fr := range frames {
-		f, _, err := wire.DecodeFrame(fr.Bytes)
-		if err != nil || f.Kind != wire.FrameBatch {
-			put(fr.From, fr.To, fr.Bytes)
-			continue
-		}
-		br, err := wire.ReadBatch(f.Payload)
-		if err != nil {
-			t.Fatalf("captured container does not open: %v", err)
-		}
-		for {
-			raw, ok := br.Next()
-			if !ok {
-				break
-			}
-			put(fr.From, fr.To, raw)
-		}
-		if err := br.Err(); err != nil {
-			t.Fatalf("captured container iteration: %v", err)
-		}
-	}
-	return blob
+	return traceBlob, wireBlob, decided, violations
 }
 
 // TestVirtualGoldenRecordReplay is the record/replay golden test: two

@@ -97,7 +97,8 @@ func (fl *Fleet) Close() {
 
 // Spawn boots one daemon per given slot at the slot's current
 // incarnation, all started before any is awaited, and returns once every
-// one has published its REST address in its -ops-addr-file.
+// one has published its REST address in its -ops-addr-file. Calling it
+// once per slot instead boots the slots one after another.
 func (fl *Fleet) Spawn(ids ...int) error {
 	fl.mu.Lock()
 	incs := append([]uint64(nil), fl.incs...)

@@ -254,18 +254,3 @@ func (c *Control) Metrics() Metrics {
 		Counters:    counters,
 	}
 }
-
-// Stats reads the counters back into the transport's vector (a name
-// missing from the map reads zero); drivers sum these across daemons.
-func (m Metrics) Stats() nettrans.Stats {
-	c := m.Counters
-	return nettrans.Stats{
-		Sent: c["sent"], Received: c["received"], LateDrops: c["late_drops"],
-		AuthDrops: c["auth_drops"], EpochDrops: c["epoch_drops"],
-		ChaosDrops: c["chaos_drops"], DecodeDrops: c["decode_drops"],
-		DupDrops: c["dup_drops"], Clamps: c["clamps"],
-		RateDeferrals: c["rate_deferrals"], DupFrames: c["dup_frames"],
-		ReorderHolds: c["reorder_holds"], CorruptFrames: c["corrupt_frames"],
-		ReplayFrames: c["replay_frames"], ForgeFrames: c["forge_frames"],
-	}
-}

@@ -188,8 +188,8 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %+v ok=%v err=%v, want stabilized 200", h, ok, err)
 	}
 
-	// Every counter distinct, so a name mixed up between Control.Metrics
-	// and Metrics.Stats shows as a mismatch.
+	// Every counter distinct, so a name mixed up between a Stats field
+	// and its /metrics key, or in nettrans.StatsOf, shows as a mismatch.
 	full := nettrans.Stats{Sent: 7, Received: 8, LateDrops: 9, AuthDrops: 10,
 		EpochDrops: 3, ChaosDrops: 11, DecodeDrops: 12, DupDrops: 13, Clamps: 14,
 		RateDeferrals: 15, DupFrames: 16, ReorderHolds: 17, CorruptFrames: 18,
@@ -199,12 +199,14 @@ func TestServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if m.Counters["sent"] != 7 || m.Counters["epoch_drops"] != 3 {
-		t.Fatalf("metrics counters = %v", m.Counters)
+	wantVec := []int64{7, 8, 9, 10, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20} // CounterNames order
+	vec := make([]int64, len(nettrans.CounterNames))
+	for i, name := range nettrans.CounterNames {
+		vec[i] = m.Counters[name]
 	}
-	if len(m.Counters) != len(nettrans.CounterNames) || m.Stats() != full {
-		t.Fatalf("metrics counters %v read back as %+v, want the full vector %+v",
-			m.Counters, m.Stats(), full)
+	if len(m.Counters) != len(wantVec) || !reflect.DeepEqual(vec, wantVec) || nettrans.StatsOf(vec) != full {
+		t.Fatalf("metrics counters %v, want %v in CounterNames order, read back as %+v",
+			m.Counters, wantVec, nettrans.StatsOf(vec))
 	}
 
 	// /trace returns the recorded events exactly, through the wire codec:
