@@ -57,11 +57,11 @@ func (u *updates) newest(now simtime.Local, p protocol.Params) (simtime.Local, b
 	return 0, false
 }
 
-// prune drops updates older than keep, and future garbage, retaining the
-// newest entry at or before now−keep so definedAt stays answerable for
-// recent queries.
+// prune drops updates older than keep, and future garbage. The caller's
+// keep exceeds the variable's expiry, so definedAt stays answerable for
+// recent queries. It filters in place: every sweep prunes every history.
 func (u *updates) prune(now simtime.Local, keep simtime.Duration, p protocol.Params) {
-	var kept []simtime.Local
+	kept := u.times[:0]
 	for _, t := range u.times {
 		age := p.Sub(now, t)
 		if age < 0 || age > keep {

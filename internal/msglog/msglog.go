@@ -75,10 +75,18 @@ const seenWords = 4
 // identities), so one bit per sender answers the duplicate test in O(1)
 // with no hashing and no per-key map to allocate, walk, or garbage-collect
 // — the per-arrival cost that dominated large-n runs (DESIGN.md §5).
+//
+// A keyLog can sit in the map with no records: a Handle query on a key
+// nobody recorded installs one, so later queries through that handle skip
+// the map. It joins the iteration order on its first record and leaves
+// it, and the map, when DecayOlderThan, RemoveMatching or Clear drops it;
+// dropped then tells every Handle still pointing at it to resolve again.
 type keyLog struct {
+	key      Key
 	recs     []rec
 	seen     [seenWords]uint64
 	seenOver []uint64 // bits for senders ≥ 64·seenWords
+	dropped  bool
 }
 
 // hasSender reports whether sender holds a record (bitmap test).
@@ -122,73 +130,63 @@ func (kl *keyLog) clearSender(sender protocol.NodeID) {
 type Log struct {
 	wrap simtime.Duration
 	recs map[Key]*keyLog
-	// order lists live keys in first-recording order, making Keys and
-	// ForEachKey deterministic.
-	order []Key
+	// order lists the keys holding records in first-recording order,
+	// making Keys and ForEachKey deterministic.
+	order []*keyLog
 	total int
-	// gen invalidates Handles whenever a key's records are dropped
-	// wholesale (Clear, decay-to-empty, RemoveMatching).
-	gen uint64
 }
 
 // Handle is a cached resolution of one key, letting a caller that queries
 // the same key repeatedly (the fixed-point evaluators) skip the hash of
-// the full Key struct on every operation. A Handle belongs to the Log
-// that the caller uses it with; the zero-ish value from NewHandle is
-// valid and resolves lazily.
+// the full Key struct on every operation. It stays resolved until the
+// Log drops its key. A Handle belongs to the Log that the caller uses it
+// with; the value from NewHandle is valid and resolves lazily.
 type Handle struct {
 	key  Key
 	kl   *keyLog
-	gen  uint64
 	hint int
 }
 
 // NewHandle returns an unresolved handle for key.
 func (l *Log) NewHandle(key Key) Handle { return Handle{key: key} }
 
-// NewHandleSized is NewHandle with a capacity hint: when the key's storage
-// is first created through this handle, its record slice is presized for
+// NewHandleSized is NewHandle with a capacity hint: when the key's first
+// record arrives through this handle, its record slice is presized for
 // hint senders, sparing the quorum-sized keys (echo waves collect ~n
 // records each) the append-growth copies.
 func (l *Log) NewHandleSized(key Key, hint int) Handle {
 	return Handle{key: key, hint: hint}
 }
 
-// resolve returns the key's records, consulting the cache first. With
-// create it installs an empty keyLog (Record path); otherwise it returns
-// nil when the key has none. Key deletions bump l.gen, so a stale pointer
-// is never used after its keyLog left the map.
-func (l *Log) resolve(h *Handle, create bool) *keyLog {
-	if h.kl != nil && h.gen == l.gen {
+// resolve returns the handle's keyLog, installing an empty one when the
+// key has none, so the map is probed only on a handle's first use and
+// after the Log dropped its key.
+func (l *Log) resolve(h *Handle) *keyLog {
+	if h.kl != nil && !h.kl.dropped {
 		return h.kl
 	}
-	kl, ok := l.recs[h.key]
+	h.kl = l.install(h.key)
+	return h.kl
+}
+
+// install returns key's keyLog, adding an empty one if it has none.
+func (l *Log) install(key Key) *keyLog {
+	kl, ok := l.recs[key]
 	if !ok {
-		if !create {
-			return nil
-		}
-		kl = &keyLog{}
-		if h.hint > 0 {
-			kl.recs = make([]rec, 0, h.hint)
-		}
-		l.recs[h.key] = kl
-		l.order = append(l.order, h.key)
+		kl = &keyLog{key: key}
+		l.recs[key] = kl
 	}
-	h.kl, h.gen = kl, l.gen
 	return kl
 }
 
 // RecordVia is Record through a cached handle.
 func (l *Log) RecordVia(h *Handle, sender protocol.NodeID, now simtime.Local) {
-	l.record(l.resolve(h, true), sender, now)
+	l.record(l.resolve(h), h.hint, sender, now)
 }
 
 // CountWithinVia is CountWithin through a cached handle.
 func (l *Log) CountWithinVia(h *Handle, width simtime.Duration, now simtime.Local) int {
-	kl := l.resolve(h, false)
-	if kl == nil {
-		return 0
-	}
+	kl := l.resolve(h)
 	return kl.firstFuture(now, l.wrap) - kl.firstWithin(width, now, l.wrap)
 }
 
@@ -199,11 +197,7 @@ func (l *Log) CountWithinVia(h *Handle, width simtime.Duration, now simtime.Loca
 // LenVia < c proves CountWithinVia/KthNewest would miss a threshold of c
 // without running the binary searches.
 func (l *Log) LenVia(h *Handle) int {
-	kl := l.resolve(h, false)
-	if kl == nil {
-		return 0
-	}
-	return len(kl.recs)
+	return len(l.resolve(h).recs)
 }
 
 // LenOf is LenVia by key.
@@ -216,11 +210,7 @@ func (l *Log) LenOf(key Key) int {
 
 // HasVia is Has through a cached handle.
 func (l *Log) HasVia(h *Handle, sender protocol.NodeID) bool {
-	kl := l.resolve(h, false)
-	if kl == nil {
-		return false
-	}
-	return kl.hasSender(sender)
+	return l.resolve(h).hasSender(sender)
 }
 
 // New returns an empty log whose window arithmetic honors the given
@@ -233,16 +223,23 @@ func New(wrap simtime.Duration) *Log {
 // now. Repeated messages from the same sender keep only the latest
 // reception ("multiple messages sent by an individual node are ignored").
 func (l *Log) Record(key Key, sender protocol.NodeID, now simtime.Local) {
-	h := Handle{key: key}
-	l.record(l.resolve(&h, true), sender, now)
+	l.record(l.install(key), 0, sender, now)
 }
 
 // record inserts (sender, now) into kl, replacing the sender's previous
 // record if any. Senders must be non-negative (IDs are dense in [0, N) and
-// the transports authenticate them); a negative sender is dropped.
-func (l *Log) record(kl *keyLog, sender protocol.NodeID, now simtime.Local) {
+// the transports authenticate them); a negative sender is dropped. A key's
+// first record allocates its slice, presized for hint senders, and enters
+// it into the iteration order.
+func (l *Log) record(kl *keyLog, hint int, sender protocol.NodeID, now simtime.Local) {
 	if sender < 0 {
 		return
+	}
+	if len(kl.recs) == 0 {
+		if hint > 0 {
+			kl.recs = make([]rec, 0, hint)
+		}
+		l.order = append(l.order, kl)
 	}
 	if kl.hasSender(sender) {
 		// Duplicate: "multiple messages sent by an individual node are
@@ -364,10 +361,7 @@ func (l *Log) KthNewestVia(h *Handle, k int, now simtime.Local) (simtime.Local, 
 	if k <= 0 {
 		return 0, false
 	}
-	kl := l.resolve(h, false)
-	if kl == nil {
-		return 0, false
-	}
+	kl := l.resolve(h)
 	j := kl.firstFuture(now, l.wrap)
 	if j < k {
 		return 0, false
@@ -393,7 +387,10 @@ func (l *Log) Senders(key Key) []protocol.NodeID {
 // future-stamped records (clearly wrong per the paper). It implements the
 // cleanup rules ("Remove any value or message that is older than Δrmv")
 // and, as a side effect, restores exact sortedness after transient residue
-// (all survivors fit one wrap/2 span relative to now).
+// (all survivors fit one wrap/2 span relative to now). Every key left
+// without records is dropped, including those only queried since the last
+// sweep, so beyond the keys holding records the map keeps only those
+// queried since the last sweep.
 func (l *Log) DecayOlderThan(maxAge simtime.Duration, now simtime.Local) {
 	removedKey := false
 	for key, kl := range l.recs {
@@ -421,12 +418,12 @@ func (l *Log) DecayOlderThan(maxAge simtime.Duration, now simtime.Local) {
 			kl.recs[j] = r
 		}
 		if len(kl.recs) == 0 {
+			kl.dropped = true
 			delete(l.recs, key)
 			removedKey = true
 		}
 	}
 	if removedKey {
-		l.gen++
 		l.compactOrder()
 	}
 }
@@ -438,24 +435,25 @@ func (l *Log) RemoveMatching(pred func(Key) bool) {
 	for key, kl := range l.recs {
 		if pred(key) {
 			l.total -= len(kl.recs)
+			kl.dropped = true
 			delete(l.recs, key)
 			removed = true
 		}
 	}
 	if removed {
-		l.gen++
 		l.compactOrder()
 	}
 }
 
-// compactOrder drops keys no longer present from the iteration order.
+// compactOrder drops dropped keys from the iteration order.
 func (l *Log) compactOrder() {
 	kept := l.order[:0]
-	for _, k := range l.order {
-		if _, ok := l.recs[k]; ok {
-			kept = append(kept, k)
+	for _, kl := range l.order {
+		if !kl.dropped {
+			kept = append(kept, kl)
 		}
 	}
+	clear(l.order[len(kept):])
 	l.order = kept
 }
 
@@ -463,7 +461,9 @@ func (l *Log) compactOrder() {
 // first-recording order.
 func (l *Log) Keys() []Key {
 	out := make([]Key, len(l.order))
-	copy(out, l.order)
+	for i, kl := range l.order {
+		out[i] = kl.key
+	}
 	return out
 }
 
@@ -471,8 +471,8 @@ func (l *Log) Keys() []Key {
 // in first-recording order, without allocating. fn must not mutate the
 // log.
 func (l *Log) ForEachKey(fn func(Key)) {
-	for _, k := range l.order {
-		fn(k)
+	for _, kl := range l.order {
+		fn(kl.key)
 	}
 }
 
@@ -481,8 +481,11 @@ func (l *Log) Len() int { return l.total }
 
 // Clear removes everything (used when an instance resets).
 func (l *Log) Clear() {
-	l.recs = make(map[Key]*keyLog)
+	for _, kl := range l.recs {
+		kl.dropped = true
+	}
+	clear(l.recs)
+	clear(l.order)
 	l.order = l.order[:0]
 	l.total = 0
-	l.gen++
 }

@@ -89,10 +89,13 @@ type bucket struct {
 }
 
 // wheelBits sizes the timing wheel: one bucket per tick over a horizon of
-// 2^wheelBits ticks. The default d is 1000 ticks, so the whole delivery
-// horizon (delays ≤ d) and the short protocol timers (≤ ~13d) fall inside
-// the wheel; only the long Δ-constant timers overflow to the heap.
-const wheelBits = 14
+// 2^wheelBits ticks, the smallest power of two covering 2d at the default
+// d = 1000 ticks. Every delivery (delay ≤ d) lands in the wheel; protocol
+// timers, whose ticks lie several d ahead, take the overflow heap, which
+// keeps (tick, schedule order) exact. The wheel is embedded in every
+// Scheduler, so its size is what each simulated world allocates, zeroes
+// and hands the garbage collector to scan (TestEventAndChunkSize bounds it).
+const wheelBits = 11
 
 const wheelSize = 1 << wheelBits
 const wheelMask = wheelSize - 1

@@ -272,12 +272,77 @@ func runScript(seed int64, steps int, check func(s *Scheduler)) (*world, []op, c
 	return w, script, cov
 }
 
+// protocolScript is the schedule a simulated world gives the scheduler at
+// the default d = 1000 ticks: deliveries at delays in (0, d], half of
+// them at exactly d, and cancellable protocol timers at 13d, beyond the
+// wheel's horizon, interleaved with RunUntil deadlines at a d/4 cadence.
+// It ends with a drain.
+func protocolScript(seed int64, steps int) []op {
+	const d = 1000
+	rng := rand.New(rand.NewSource(seed))
+	var script []op
+	now := Real(0)
+	timers := 0
+	for range steps {
+		var o op
+		switch k := rng.Intn(10); {
+		case k < 5:
+			o = op{kind: opPostArg, at: now + d}
+			if k%2 == 0 {
+				o = op{kind: opPostHandler, at: now + Real(1+rng.Intn(d))}
+			}
+		case k < 7:
+			o = op{kind: opAt, at: now + 13*d}
+			timers++
+		case k < 8:
+			o = op{kind: opCancel, idx: rng.Intn(timers + 1)}
+		default:
+			now += d / 4
+			o = op{kind: opRunUntil, at: now}
+		}
+		script = append(script, o)
+	}
+	return append(script, op{kind: opRunUntil, at: now + 1<<40})
+}
+
+// matchReference replays script on the naive reference and fails t unless
+// got, which ran the same script on a Scheduler, fired exactly the same
+// events at exactly the same times in exactly the same order.
+func matchReference(t *testing.T, got *world, script []op) {
+	t.Helper()
+	ref := &world{s: &refScheduler{}}
+	for _, o := range script {
+		ref.apply(o)
+	}
+	if len(got.fired) != len(ref.fired) {
+		t.Fatalf("wheel ran %d events, reference %d", len(got.fired), len(ref.fired))
+	}
+	for i := range ref.fired {
+		if got.fired[i] != ref.fired[i] {
+			t.Fatalf("event %d: wheel ran label %d at %d, reference label %d at %d",
+				i, got.fired[i].label, got.fired[i].at, ref.fired[i].label, ref.fired[i].at)
+		}
+	}
+	if g, r := got.s.Processed(), ref.s.Processed(); g != r {
+		t.Errorf("Processed = %d, reference %d", g, r)
+	}
+	if g, r := got.s.Now(), ref.s.Now(); g != r {
+		t.Errorf("Now = %d, reference %d", g, r)
+	}
+	if p := got.s.(*Scheduler).Pending(); p != 0 {
+		t.Errorf("Pending = %d after drain, want 0", p)
+	}
+}
+
 // TestSchedulerMatchesReference: over seeded random scripts of At, Post,
 // PostHandler, PostArg, Cancel and RunUntil — with long empty stretches,
 // ticks at and around base+wheelSize, far overflow timers and deadlines
 // that stop before the base (forcing rewinds) — the wheel runs exactly
 // the events, at exactly the times, in exactly the order of a naive
-// reference sorted by (tick, schedule order).
+// reference sorted by (tick, schedule order). The protocol-shaped
+// scripts hold the same on the regime a simulated world runs in:
+// deliveries at exactly d in the wheel, 13d timers crossing the horizon
+// into the overflow heap.
 func TestSchedulerMatchesReference(t *testing.T) {
 	var total coverage
 	for seed := int64(1); seed <= 60; seed++ {
@@ -286,32 +351,29 @@ func TestSchedulerMatchesReference(t *testing.T) {
 			total.rewinds += cov.rewinds
 			total.edges += cov.edges
 			total.overflow += cov.overflow
-			ref := &world{s: &refScheduler{}}
-			for _, o := range script {
-				ref.apply(o)
-			}
-			if len(got.fired) != len(ref.fired) {
-				t.Fatalf("wheel ran %d events, reference %d", len(got.fired), len(ref.fired))
-			}
-			for i := range ref.fired {
-				if got.fired[i] != ref.fired[i] {
-					t.Fatalf("event %d: wheel ran label %d at %d, reference label %d at %d",
-						i, got.fired[i].label, got.fired[i].at, ref.fired[i].label, ref.fired[i].at)
-				}
-			}
-			if g, r := got.s.Processed(), ref.s.Processed(); g != r {
-				t.Errorf("Processed = %d, reference %d", g, r)
-			}
-			if g, r := got.s.Now(), ref.s.Now(); g != r {
-				t.Errorf("Now = %d, reference %d", g, r)
-			}
-			if p := got.s.(*Scheduler).Pending(); p != 0 {
-				t.Errorf("Pending = %d after drain, want 0", p)
-			}
+			matchReference(t, got, script)
 		})
 	}
 	if total.rewinds < 100 || total.edges < 100 || total.overflow < 100 {
 		t.Errorf("scripts reached %d rewinds, %d horizon-edge and %d overflow schedules; want ≥ 100 each",
 			total.rewinds, total.edges, total.overflow)
+	}
+	heapTimers := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprint("protocol", seed), func(t *testing.T) {
+			script := protocolScript(seed, 400)
+			s := NewScheduler()
+			got := &world{s: s}
+			for _, o := range script {
+				if o.kind == opAt && o.at >= s.base+wheelSize {
+					heapTimers++
+				}
+				got.apply(o)
+			}
+			matchReference(t, got, script)
+		})
+	}
+	if heapTimers < 1000 {
+		t.Errorf("protocol scripts sent %d timers to the overflow heap; want ≥ 1000", heapTimers)
 	}
 }

@@ -531,7 +531,7 @@ func TestSchedulerArgOrderThroughMigration(t *testing.T) {
 func TestSchedulerArgOrderThroughRewind(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	const near, far = Real(5000), Real(20000) // far: inside the old horizon only
+	const near, far = Real(wheelSize), Real(2*wheelSize - 1) // far: inside the old horizon only
 	postMix(s, &order, near, 10)
 	postMix(s, &order, far, 20)
 	s.RunUntil(1000)                       // the base hunts ahead to near; now stays 1000
@@ -563,9 +563,11 @@ func TestSchedulerCancelBetweenArgs(t *testing.T) {
 
 // TestEventAndChunkSize pins the wheel's memory layout: a 32-byte event,
 // so a new field cannot silently double the in-flight memory of a
-// broadcast storm, and a chunk holding as many events as fit the 4 KiB
+// broadcast storm; a chunk holding as many events as fit the 4 KiB
 // allocator size class beside its next pointer, so a small world's
-// bucket costs one 4 KiB chunk.
+// bucket costs one 4 KiB chunk; and a Scheduler of at most 64 KiB, since
+// every simulated world allocates and zeroes one, so the embedded wheel
+// cannot grow back to a horizon far past the delivery range.
 func TestEventAndChunkSize(t *testing.T) {
 	ev := unsafe.Sizeof(event{})
 	if ev != 32 {
@@ -573,6 +575,9 @@ func TestEventAndChunkSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(chunk{}); got > 4<<10 || got+ev <= 4<<10 {
 		t.Errorf("chunk is %d bytes, want the most %d-byte events that fit 4 KiB with the next pointer", got, ev)
+	}
+	if got := unsafe.Sizeof(Scheduler{}); got > 64<<10 {
+		t.Errorf("Scheduler is %d bytes, want at most 64 KiB", got)
 	}
 }
 
