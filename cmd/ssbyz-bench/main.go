@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ssbyz-bench [-quick] [-seeds 20] [-parallel N] [-o report.md] [-json suite.json] [-live]
+//	ssbyz-bench [-quick] [-seeds 20] [-parallel N] [-o report.md] [-json suite.json]
 //	ssbyz-bench -replay spec.json
 //	ssbyz-bench -cluster N [-transport udp|tcp] [-procs] [-node-bin path]
 //	            [-agreements K] [-sessions C] [-cluster-d ticks] [-tick dur]
@@ -50,17 +50,6 @@
 // properties are only promised outside the transient window
 // (DESIGN.md §10).
 //
-// -live appends experiments L1 (live loopback latency/throughput sweep
-// over the same socket transport), L2 (the replicated-log service over
-// loopback UDP at session concurrency 1 and 8), L3 (byte-level
-// attack classes and in-situ transient-fault recovery against real
-// sockets), and L4 (the cluster operations campaign: scale-up and a
-// rolling replacement under committed traffic, with the Δstb
-// re-stabilization and old-incarnation replay-rejection verdicts) to
-// the suite run and its JSON artifact. Their numbers are
-// wall-clock measurements — unlike every other experiment they vary run
-// to run, so they only run when asked.
-//
 // The full suite takes many minutes single-threaded (S1 stretches to
 // n = 256); -parallel fans the independent simulation cells across N
 // workers (default GOMAXPROCS) with byte-identical output, and -quick
@@ -102,7 +91,6 @@ type benchFlags struct {
 	out      *string
 	jsonOut  *string
 	replay   *string
-	live     *bool
 
 	cluster    *int
 	transport  *string
@@ -127,7 +115,6 @@ func defineFlags(fs *flag.FlagSet) *benchFlags {
 		out:      fs.String("o", "", "also write the report to this file"),
 		jsonOut:  fs.String("json", "", "write the machine-readable suite to this file"),
 		replay:   fs.String("replay", "", "replay a scenario spec JSON file against the property battery on the runtime it names (skips the suite)"),
-		live:     fs.Bool("live", false, "append experiments L1, L2, L3, and L4 (live loopback sweeps, adversarial cells, and the ops campaign; wall-clock numbers) to the suite"),
 
 		cluster:    fs.Int("cluster", 0, "run a live loopback cluster of this many nodes over real sockets (skips the suite)"),
 		transport:  fs.String("transport", "udp", "-cluster socket transport: udp (deadline drops) or tcp (lossless)"),
@@ -152,7 +139,6 @@ func run() error {
 		out      = f.out
 		jsonOut  = f.jsonOut
 		replay   = f.replay
-		live     = f.live
 
 		cluster    = f.cluster
 		transport  = f.transport
@@ -201,19 +187,6 @@ func run() error {
 	})
 	if err != nil {
 		return err
-	}
-	if *live {
-		for _, run := range []func(io.Writer, ssbyz.ExperimentOptions) (*ssbyz.ExperimentResult, error){
-			ssbyz.RunLiveExperiment, ssbyz.RunLiveServiceExperiment,
-			ssbyz.RunAdversarialLiveExperiment, ssbyz.RunOpsLiveExperiment,
-		} {
-			res, err := run(w, ssbyz.ExperimentOptions{Quick: *quick})
-			if err != nil {
-				return err
-			}
-			suite.Results = append(suite.Results, res)
-			suite.Violations += res.Violations
-		}
 	}
 	fmt.Fprintf(w, "total property violations: %d\n", suite.Violations)
 	if *jsonOut != "" {

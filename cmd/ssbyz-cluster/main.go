@@ -30,7 +30,7 @@
 // non-zero if any verdict fails.
 //
 // In-process modes run the campaign on internal/ops.RunCampaign (the
-// same engine as experiments V4/L4); -virtual puts it on a fake clock
+// same engine as experiment V4); -virtual puts it on a fake clock
 // over the deterministic in-memory wire, where the whole campaign —
 // schedule, traffic, roll, report — is byte-reproducible. -procs spawns
 // one ssbyz-node per committee slot with -ops enabled and orchestrates

@@ -80,7 +80,7 @@ func TestTimeModelDocumented(t *testing.T) {
 
 // TestAdversarialCampaignDocumented pins the §10 adversarial-campaign
 // documentation the code cites ("DESIGN.md §10"): the attack-taxonomy
-// section, the V3/L3 experiment rows, and the README's wire-attack and
+// section, the V3 experiment row, and the README's wire-attack and
 // in-situ fault recipes and the -fault flag row.
 func TestAdversarialCampaignDocumented(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
@@ -94,8 +94,7 @@ func TestAdversarialCampaignDocumented(t *testing.T) {
 		"In-situ transient", // CorruptRunning against a RUNNING node
 		"Δstb = 2Δreset",    // the recovery budget every surface asserts
 		"`corrupt_frames`",  // the injected/defense counter vocabulary
-		"| V3 ",             // the §4 experiment rows
-		"| L3 ",
+		"| V3 ",             // the §4 experiment row
 	} {
 		if !strings.Contains(string(design), anchor) {
 			t.Errorf("DESIGN.md lost its adversarial-campaign anchor %q", anchor)
@@ -119,7 +118,7 @@ func TestAdversarialCampaignDocumented(t *testing.T) {
 
 // TestOpsLayerDocumented pins the §12 cluster-operations documentation
 // the code cites ("DESIGN.md §12"): the control-plane endpoint table,
-// the incarnation-epoch story, the V4/L4 experiment rows, and the
+// the incarnation-epoch story, the V4 experiment row, and the
 // README's fleet-operations walkthrough and rolling-replacement recipe.
 func TestOpsLayerDocumented(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
@@ -134,8 +133,7 @@ func TestOpsLayerDocumented(t *testing.T) {
 		"Incarnation epochs",           // epoch_unix_nano + incarnation
 		"`epoch_drops`, checked before authentication",
 		"Δstb = 2Δreset", // the roll budget every surface asserts
-		"| V4 ",          // the §4 experiment rows
-		"| L4 ",
+		"| V4 ",          // the §4 experiment row
 	} {
 		if !strings.Contains(string(design), anchor) {
 			t.Errorf("DESIGN.md lost its operations-layer anchor %q", anchor)

@@ -102,8 +102,8 @@ func TestBenchArtifactCoversS2(t *testing.T) {
 // TestBenchArtifactCoversL1 pins the newest committed artifact to the
 // live-runtime generation's shape: an L1 result with live per-cell wall
 // costs for the UDP sweep, the TCP baseline, and the chaos replay
-// (`ssbyz-bench -quick -live -json` produced it — L1 is appended
-// explicitly because its numbers are wall-clock, DESIGN.md §7).
+// (the since-removed `ssbyz-bench -quick -live -json` produced it — L1
+// was appended explicitly because its numbers were wall-clock).
 func TestBenchArtifactCoversL1(t *testing.T) {
 	a := loadArtifact(t, "BENCH_PR5_quick.json")
 	for _, r := range a.Results {
@@ -169,8 +169,8 @@ func TestBenchArtifactCoversV1V2(t *testing.T) {
 // deterministic attack/defense + in-situ recovery + generated-fuzz
 // campaign, costed at the suite level like V1/V2) and L3 (its
 // real-socket smoke, with every attack-subset cell and the recovery
-// cell individually costed — `ssbyz-bench -quick -live -json` appends
-// it after L2).
+// cell individually costed — the since-removed `ssbyz-bench -quick
+// -live -json` appended it after L2).
 func TestBenchArtifactCoversV3L3(t *testing.T) {
 	a := loadArtifact(t, "BENCH_PR8_quick.json")
 	foundV3, foundL3 := false, false
@@ -204,7 +204,7 @@ func TestBenchArtifactCoversV3L3(t *testing.T) {
 // within Δstb, old-incarnation replay rejection — costed at the suite
 // level like V1/V2/V3, since its tables are exact) and L4 (the same
 // campaign over real UDP sockets with its per-seed campaign cell
-// costed — `ssbyz-bench -quick -live -json` appends it after L3).
+// costed — the since-removed `-live` flag appended it after L3).
 func TestBenchArtifactCoversV4L4(t *testing.T) {
 	a := loadArtifact(t, "BENCH_PR10_quick.json")
 	foundV4, foundL4 := false, false
@@ -231,8 +231,8 @@ func TestBenchArtifactCoversV4L4(t *testing.T) {
 }
 
 // TestBenchArtifactCoversL2 pins the live service spot-check: an L2
-// result with both session-concurrency cells costed (`ssbyz-bench
-// -quick -live -json` appends L2 after L1; wall-clock, DESIGN.md §8).
+// result with both session-concurrency cells costed (the since-removed
+// `ssbyz-bench -quick -live -json` appended L2 after L1; wall-clock).
 func TestBenchArtifactCoversL2(t *testing.T) {
 	a := loadArtifact(t, "BENCH_PR6_quick.json")
 	for _, r := range a.Results {

@@ -16,7 +16,7 @@ import (
 	"ssbyz/internal/transient"
 )
 
-// Experiments V3/L3 "Adversarial live campaign": the byte-level threat
+// Experiment V3 "Adversarial live campaign": the byte-level threat
 // model the paper assumes away — and the live runtimes must re-establish
 // from bytes. The paper's model gives every correct pair an authenticated
 // bounded-delay channel; a real network gives neither, so the wire layer
@@ -32,14 +32,12 @@ import (
 // specs — WAN matrices, byte attackers, scripted mid-run faults — checked
 // by the split-phase battery and shrunk to replayable counterexamples on
 // failure. Everything in V3 is byte-deterministic (fake clock, seeded
-// wire), so it lives in All() and gates CI; L3 replays the same attack
-// classes and the in-situ recovery over REAL loopback sockets under the
-// wall clock, appended by `ssbyz-bench -live`.
+// wire), so it lives in All() and gates CI.
 
-// advWindow covers any virtual or live attack cell these experiments run.
+// advWindow covers any attack cell V3 runs.
 const advWindow = simtime.Real(1 << 30)
 
-// advClass is one attack class of the V3/L3 matrix: the condition
+// advClass is one attack class of the V3 matrix: the condition
 // schedule that injects it, the counter that proves injection, and the
 // counter that proves the corresponding defense rejected it.
 type advClass struct {
@@ -108,32 +106,23 @@ func statCounter(s nettrans.Stats, name string) int64 {
 type advCell struct {
 	injected, defense int64
 	stats             nettrans.Stats
-	cellWallMS        float64
 	violations        int
 	errs              []string
-	incomplete        bool // live-only: host starvation, see liveCell
 }
 
-// runAdvCell runs the class's agreements on one fresh cluster. virtual
-// selects the fake-clock deterministic wire (V3) versus real UDP
-// loopback sockets (L3).
-func runAdvCell(class advClass, seed int64, virtual bool) advCell {
-	cellStart := time.Now()
+// runAdvCell runs the class's agreements on one fresh virtual cluster.
+func runAdvCell(class advClass, seed int64) advCell {
 	var c advCell
 	fail := func(format string, args ...any) advCell {
 		c.violations++
 		c.errs = append(c.errs, fmt.Sprintf(format, args...))
-		c.cellWallMS = float64(time.Since(cellStart).Microseconds()) / 1000
 		return c
 	}
 	pp := protocol.DefaultParams(4)
 	pp.D = liveD
 	cfg := nettrans.ClusterConfig{
 		Params: pp, Tick: liveTick, Transport: nettrans.TransportUDP,
-		Conditions: class.conds, Seed: seed,
-	}
-	if virtual {
-		cfg.Clock = clock.NewFake(time.Time{})
+		Conditions: class.conds, Seed: seed, Clock: clock.NewFake(time.Time{}),
 	}
 	if class.attacker >= 0 {
 		cfg.Faulty = map[protocol.NodeID]protocol.Node{class.attacker: core.NewNode()}
@@ -145,9 +134,6 @@ func runAdvCell(class advClass, seed int64, virtual bool) advCell {
 	defer cl.Stop()
 
 	budget := time.Duration(pp.DeltaAgr()+20*pp.D) * liveTick
-	if !virtual {
-		budget += 5 * time.Second
-	}
 	agreements := class.agreements
 	if agreements == 0 {
 		agreements = 1
@@ -161,18 +147,13 @@ func runAdvCell(class advClass, seed int64, virtual bool) advCell {
 			return fail("initiate g=%d: %v", g, err)
 		}
 		if done := cl.AwaitDecisions(g, v, budget); done != len(cl.Correct()) {
-			c.incomplete = !virtual
 			return fail("%s: %d/%d correct nodes decided", class.label, done, len(cl.Correct()))
 		}
 		inits = append(inits, check.LiveInitiation{G: g, V: v, T0: t0})
 	}
 	if class.flush {
-		if virtual {
-			cl.StepUntil(func() bool { return false },
-				simtime.Duration(cl.NowTicks())+8*pp.D)
-		} else {
-			time.Sleep(time.Duration(8*pp.D) * liveTick)
-		}
+		cl.StepUntil(func() bool { return false },
+			simtime.Duration(cl.NowTicks())+8*pp.D)
 	}
 	c.stats = cl.Stats()
 	c.injected = statCounter(c.stats, class.injected)
@@ -189,7 +170,6 @@ func runAdvCell(class advClass, seed int64, virtual bool) advCell {
 	for _, v := range vs {
 		c.errs = append(c.errs, class.label+": "+v.String())
 	}
-	c.cellWallMS = float64(time.Since(cellStart).Microseconds()) / 1000
 	return c
 }
 
@@ -197,46 +177,38 @@ func runAdvCell(class advClass, seed int64, virtual bool) advCell {
 type recovCell struct {
 	restab     float64 // observed re-stabilization, ticks
 	budget     float64 // Δstb in the cell's params
-	cellWallMS float64
 	violations int
 	errs       []string
 }
 
-// runRecoveryCell corrupts EVERY correct node of a running cluster in
-// place — transient.CorruptRunning executed inside each node's event
-// loop, exactly the daemon's control-socket fault path — and measures how
-// long until the planted phantom records are swept on all of them. The
-// observed time must land within Δstb = 2Δreset, and a probe agreement
-// after the window plus the battery over the post-recovery suffix prove
-// the system behaves as if the transient never happened.
-func runRecoveryCell(severityPermille int, seed int64, virtual bool) recovCell {
-	cellStart := time.Now()
+// runRecoveryCell corrupts EVERY correct node of a running virtual
+// cluster in place — transient.CorruptRunning executed inside each node's
+// event loop, the same path the node daemon's POST /fault takes — and
+// measures how long until the planted phantom records are swept on all of
+// them. The observed time must land within Δstb = 2Δreset, and a probe
+// agreement after the window plus the battery over the post-recovery
+// suffix prove the system behaves as if the transient never happened.
+func runRecoveryCell(severityPermille int, seed int64) recovCell {
 	var c recovCell
 	fail := func(format string, args ...any) recovCell {
 		c.violations++
 		c.errs = append(c.errs, fmt.Sprintf(format, args...))
-		c.cellWallMS = float64(time.Since(cellStart).Microseconds()) / 1000
 		return c
 	}
 	pp := protocol.DefaultParams(4)
 	pp.D = liveD
 	c.budget = float64(pp.DeltaStb())
-	cfg := nettrans.ClusterConfig{
+	fake := clock.NewFake(time.Time{})
+	cl, err := nettrans.NewCluster(nettrans.ClusterConfig{
 		Params: pp, Tick: liveTick, Transport: nettrans.TransportUDP, Seed: seed,
-	}
-	if virtual {
-		cfg.Clock = clock.NewFake(time.Time{})
-	}
-	cl, err := nettrans.NewCluster(cfg)
+		Clock: fake,
+	})
 	if err != nil {
 		return fail("cluster: %v", err)
 	}
 	defer cl.Stop()
 
 	budget := time.Duration(pp.DeltaAgr()+20*pp.D) * liveTick
-	if !virtual {
-		budget += 5 * time.Second
-	}
 	runAgreement := func(g protocol.NodeID, v protocol.Value) (simtime.Real, bool) {
 		t0, _, err := cl.Initiate(g, 0, v)
 		if err != nil {
@@ -285,23 +257,13 @@ func runRecoveryCell(severityPermille int, seed int64, virtual bool) recovCell {
 
 	deadline := corruptAt + simtime.Real(pp.DeltaStb())
 	recovered := false
-	if fake := cl.Virtual(); fake != nil {
-		for steps := 0; cl.NowTicks() < deadline; steps++ {
-			if steps%32 == 0 && marksCleared() {
-				recovered = true
-				break
-			}
-			if !fake.Step() {
-				break
-			}
+	for steps := 0; cl.NowTicks() < deadline; steps++ {
+		if steps%32 == 0 && marksCleared() {
+			recovered = true
+			break
 		}
-	} else {
-		for cl.NowTicks() < deadline {
-			if marksCleared() {
-				recovered = true
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
+		if !fake.Step() {
+			break
 		}
 	}
 	if !recovered && !marksCleared() {
@@ -315,13 +277,7 @@ func runRecoveryCell(severityPermille int, seed int64, virtual bool) recovCell {
 	// Let the full Δstb window pass, then probe: the battery over the
 	// post-recovery suffix measures the promised post-stabilization
 	// behaviour.
-	if fake := cl.Virtual(); fake != nil {
-		cl.StepUntil(func() bool { return false }, simtime.Duration(deadline))
-	} else {
-		for cl.NowTicks() < deadline {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
+	cl.StepUntil(func() bool { return false }, simtime.Duration(deadline))
 	suffixStart := cl.NowTicks()
 	t0, ok := runAgreement(2, "post-fault")
 	if !ok {
@@ -340,7 +296,6 @@ func runRecoveryCell(severityPermille int, seed int64, virtual bool) recovCell {
 	for _, v := range vs {
 		c.errs = append(c.errs, fmt.Sprintf("severity %d‰ post-recovery: %s", severityPermille, v.String()))
 	}
-	c.cellWallMS = float64(time.Since(cellStart).Microseconds()) / 1000
 	return c
 }
 
@@ -423,7 +378,7 @@ func V3AdversarialLive(opt Options) *Result {
 	}
 	classes := advClasses()
 	grid := sweep(opt, classes, seeds, func(class advClass, seed int) advCell {
-		return runAdvCell(class, 7000+int64(seed), true)
+		return runAdvCell(class, 7000+int64(seed))
 	})
 	mt := metrics.NewTable(
 		fmt.Sprintf("attack/defense matrix (n=4, d = %d ticks, virtual time; counters summed over seeds)", liveD),
@@ -451,7 +406,7 @@ func V3AdversarialLive(opt Options) *Result {
 		rSeeds = 3
 	}
 	rGrid := sweep(opt, severities, rSeeds, func(sev, seed int) recovCell {
-		return runRecoveryCell(sev, 9000+int64(sev)*10+int64(seed), true)
+		return runRecoveryCell(sev, 9000+int64(sev)*10+int64(seed))
 	})
 	rt := metrics.NewTable(
 		fmt.Sprintf("in-situ recovery: every correct node of a RUNNING cluster corrupted mid-run (n=4, Δstb = %d ticks)", pp.DeltaStb()),
@@ -537,7 +492,7 @@ func V3AdversarialLive(opt Options) *Result {
 
 	r.Notes = append(r.Notes,
 		"every attack class is proven twice: the attack counter shows the injection fired, the defense counter shows the wire pipeline rejected it, and the battery shows agreement survived — the paper's channel assumptions re-established from bytes (DESIGN.md §10)",
-		"the recovery sweep corrupts RUNNING nodes through transient.CorruptRunning inside their event loops — the same path the node daemon's control socket exposes — and the observed re-stabilization stays within Δstb = 2Δreset at every severity",
+		"the recovery sweep corrupts RUNNING nodes through transient.CorruptRunning inside their event loops — the same path the node daemon's POST /fault takes — and the observed re-stabilization stays within Δstb = 2Δreset at every severity",
 		"live spec i at size n regenerates from scenario.GenerateLive(V3CampaignSeed(n,i), n); a violating spec is shrunk 1-minimal and replays with `ssbyz-bench -replay spec.json`",
 	)
 	for _, ex := range examples {
@@ -550,80 +505,5 @@ func V3AdversarialLive(opt Options) *Result {
 			r.Notes = append(r.Notes, "counterexample export failed: "+err.Error())
 		}
 	}
-	return r
-}
-
-// L3AdversarialLive replays the V3 attack classes and the in-situ
-// recovery over REAL loopback sockets under the wall clock. Like L1/L2 it
-// is not in All() — wall-clock numbers vary with the host — and runs
-// strictly sequentially; `ssbyz-bench -live` appends it. The
-// deterministic acceptance is the verdict: every attack class injected
-// and rejected, recovery within Δstb, zero battery violations.
-func L3AdversarialLive(opt Options) *Result {
-	r := &Result{ID: "L3", Title: "Adversarial live cluster: byte-level attacks and in-situ recovery over real sockets"}
-	pp := protocol.DefaultParams(4)
-	pp.D = liveD
-	cellWall := make(map[string]float64)
-
-	// Smoke subset of the matrix: one class per defense family that needs
-	// no virtual-time flush discipline.
-	classes := []advClass{}
-	for _, class := range advClasses() {
-		switch class.label {
-		case "corrupt", "forge", "duplicate", "replay-xepoch":
-			classes = append(classes, class)
-		}
-	}
-	mt := metrics.NewTable(
-		fmt.Sprintf("attack/defense smoke over real UDP loopback (n=4, d = %d ticks × %v)", liveD, liveTick),
-		"class", "attack counter", "injected", "defense counter", "rejected", "violations")
-	retries := 0
-	for _, class := range classes {
-		var c advCell
-		for attempt := 0; ; attempt++ {
-			c = runAdvCell(class, 7000+int64(attempt), false)
-			if !c.incomplete || attempt >= 2 {
-				retries += attempt
-				break
-			}
-		}
-		mt.AddRow(class.label, class.injected, c.injected, class.defense, c.defense, c.violations)
-		r.Violations += c.violations
-		for _, e := range c.errs {
-			r.Notes = append(r.Notes, e)
-		}
-		cellWall[class.label+"/4"] = c.cellWallMS
-	}
-	r.Tables = append(r.Tables, mt)
-
-	// One wall-clock in-situ recovery cell: the Δstb window is real time
-	// here (Δstb ticks × tick length), so a single full-severity cell
-	// keeps the -live budget honest.
-	rc := runRecoveryCell(1000, 9001, false)
-	rt := metrics.NewTable(
-		fmt.Sprintf("in-situ recovery over real sockets (n=4, Δstb = %d ticks = %v)",
-			pp.DeltaStb(), time.Duration(pp.DeltaStb())*liveTick),
-		"severity ‰", "restab ticks", "restab/Δstb", "restab wall", "violations")
-	rt.AddRow(1000,
-		fmt.Sprintf("%.0f", rc.restab),
-		fmt.Sprintf("%.3f", rc.restab/rc.budget),
-		(time.Duration(rc.restab) * liveTick).Round(time.Millisecond).String(),
-		rc.violations)
-	r.Violations += rc.violations
-	for _, e := range rc.errs {
-		r.Notes = append(r.Notes, e)
-	}
-	cellWall["recovery/4"] = rc.cellWallMS
-	r.Tables = append(r.Tables, rt)
-
-	r.CellWallMS = cellWall
-	if retries > 0 {
-		r.Notes = append(r.Notes, fmt.Sprintf(
-			"%d cell(s) were rerun after an incomplete first attempt (host contention starved the run past the d deadline)", retries))
-	}
-	r.Notes = append(r.Notes,
-		"same attack classes as V3 but over real UDP sockets: the byte attacker mangles genuine datagrams in the socket send path, and the receive pipeline's counters prove the same defenses fire outside virtual time",
-		"the recovery row corrupts every node of a RUNNING loopback cluster in place and watches the phantom state get swept under the wall clock — Δstb here is real seconds, not a schedule",
-	)
 	return r
 }

@@ -7,12 +7,11 @@ import (
 
 	"ssbyz/internal/clock"
 	"ssbyz/internal/metrics"
-	"ssbyz/internal/nettrans"
 	"ssbyz/internal/ops"
 	"ssbyz/internal/protocol"
 )
 
-// Experiments V4/L4 "Cluster operations campaign": the ops layer's
+// Experiment V4 "Cluster operations campaign": the ops layer's
 // boot→scale→roll→drain schedule (DESIGN.md §12) executed end to end —
 // an n-node fleet boots with one slot held back, the service pump
 // commits replicated-log entries at General 0 throughout, the held slot
@@ -26,8 +25,8 @@ import (
 // rejected by every peer at the first step of the acceptance pipeline
 // (epoch_drops). V4 runs the campaign under virtual time (exact,
 // byte-identical across runs and worker counts — it gates CI inside
-// All()); L4 is the same campaign over real UDP loopback sockets under
-// the wall clock, appended by `ssbyz-bench -live`.
+// All()). The same campaign over real UDP loopback sockets under the
+// wall clock is `ssbyz-cluster -n 4 -roll 2`.
 
 // v4Config is one V4 campaign configuration.
 type v4Config struct {
@@ -37,38 +36,27 @@ type v4Config struct {
 // opsCell is one campaign run reduced to its operational verdicts.
 type opsCell struct {
 	committed  int
-	scaleAt    int64
-	rollAt     int64
 	restab     int64
-	within     bool
 	replayPeer int
 	canon      []byte
-	cellWallMS float64
 	violations int
 	errs       []string
 }
 
-// runOpsCell executes one campaign and judges it: workload committed,
-// schedule executed, roll re-stabilized within Δstb, replay probe
-// rejected by every peer, final fleet health stabilized.
-func runOpsCell(n, roll int, seed int64, virtual bool) opsCell {
+// runOpsCell executes one virtual-time campaign and judges it: workload
+// committed, schedule executed, roll re-stabilized within Δstb, replay
+// probe rejected by every peer, final fleet health stabilized.
+func runOpsCell(n, roll int, seed int64) opsCell {
 	var c opsCell
 	fail := func(format string, args ...any) {
 		c.violations++
 		c.errs = append(c.errs, fmt.Sprintf("ops n=%d seed=%d: %s", n, seed, fmt.Sprintf(format, args...)))
 	}
-	cfg := ops.CampaignConfig{
-		Spec: ops.QuickSpec(n, roll, liveD, seed),
-		Tick: liveTick,
-	}
-	if virtual {
-		cfg.Clock = clock.NewFake(time.Time{})
-	} else {
-		cfg.Transport = nettrans.TransportUDP
-	}
-	start := time.Now()
-	rep, err := ops.RunCampaign(cfg)
-	c.cellWallMS = float64(time.Since(start).Microseconds()) / 1000
+	rep, err := ops.RunCampaign(ops.CampaignConfig{
+		Spec:  ops.QuickSpec(n, roll, liveD, seed),
+		Tick:  liveTick,
+		Clock: clock.NewFake(time.Time{}),
+	})
 	if err != nil {
 		fail("campaign: %v", err)
 		return c
@@ -82,9 +70,8 @@ func runOpsCell(n, roll int, seed int64, virtual bool) opsCell {
 		fail("schedule executed %d scales and %d rolls, want 1+1", len(rep.Scales), len(rep.Rolls))
 		return c
 	}
-	c.scaleAt = rep.Scales[0].At
 	rr := rep.Rolls[0]
-	c.rollAt, c.restab, c.within, c.replayPeer = rr.At, rr.RestabTicks, rr.WithinDeltaStb, rr.EpochDropPeers
+	c.restab, c.replayPeer = rr.RestabTicks, rr.EpochDropPeers
 	if rr.RestabTicks < 0 || !rr.WithinDeltaStb {
 		fail("rolled node %d did not re-stabilize within Δstb=%d (restab=%d)",
 			rr.Node, rep.Params.DeltaStb(), rr.RestabTicks)
@@ -113,7 +100,7 @@ func V4OpsCampaign(opt Options) *Result {
 		configs = append(configs, v4Config{7, 3})
 	}
 	grid := sweep(opt, configs, seeds, func(cfg v4Config, seed int) opsCell {
-		return runOpsCell(cfg.n, cfg.roll, int64(cfg.n)*100+int64(seed), true)
+		return runOpsCell(cfg.n, cfg.roll, int64(cfg.n)*100+int64(seed))
 	})
 	t := metrics.NewTable(
 		fmt.Sprintf("ops campaign over the virtual wire (d = %d ticks; scale@10d, roll@22d; all columns deterministic)", liveD),
@@ -148,7 +135,7 @@ func V4OpsCampaign(opt Options) *Result {
 
 	// The determinism gate: the same spec and seed must reproduce the
 	// campaign byte for byte — report and full sorted trace.
-	base := runOpsCell(configs[0].n, configs[0].roll, int64(configs[0].n)*100, true)
+	base := runOpsCell(configs[0].n, configs[0].roll, int64(configs[0].n)*100)
 	if !bytes.Equal(base.canon, grid[0][0].canon) {
 		r.Violations++
 		r.Notes = append(r.Notes, fmt.Sprintf(
@@ -159,62 +146,6 @@ func V4OpsCampaign(opt Options) *Result {
 		"live membership as a deterministic schedule: the absent slot boots at 10d, a node is stopped, epoch-bumped, and rebooted at 22d, and the fleet drains only after the workload commits and the replacement decides again — all on the fake clock, byte-identical across runs and worker counts",
 		"the replay-rejecting column is the incarnation proof: a frame forged from the rolled node's previous epoch id is offered to every peer and must die at the first acceptance-pipeline step (epoch_drops) on all of them (DESIGN.md §12)",
 		fmt.Sprintf("determinism gate: the first cell reruns and its canonical rendering (%d bytes) matched byte for byte", len(base.canon)),
-	)
-	return r
-}
-
-// L4OpsLive is the wall-clock mirror of V4: the same
-// boot→scale→roll→drain campaign over real UDP loopback sockets. Its
-// times vary with the host, so `ssbyz-bench -live` appends it; the
-// deterministic acceptance is the verdict — workload committed under
-// the roll, re-stabilization within Δstb of real time, replay rejected
-// by every peer.
-func L4OpsLive(opt Options) *Result {
-	r := &Result{ID: "L4", Title: "Cluster operations campaign over real sockets: roll under traffic"}
-	pp := protocol.DefaultParams(4)
-	pp.D = liveD
-	seeds := 1
-	if !opt.Quick {
-		seeds = 2
-	}
-	cellWall := make(map[string]float64)
-	t := metrics.NewTable(
-		fmt.Sprintf("ops campaign over real UDP loopback (n=4, d = %d ticks × %v, Δstb = %v)",
-			liveD, liveTick, time.Duration(pp.DeltaStb())*liveTick),
-		"seed", "committed", "restab ticks", "restab/Δstb", "restab wall", "replay peers", "violations")
-	retries := 0
-	for seed := 0; seed < seeds; seed++ {
-		var c opsCell
-		for attempt := 0; ; attempt++ {
-			c = runOpsCell(4, 2, 9100+int64(seed)+1000*int64(attempt), false)
-			if c.violations == 0 || attempt >= 2 {
-				retries += attempt
-				break
-			}
-		}
-		restabWall := "-"
-		ratio := "-"
-		if c.restab >= 0 {
-			restabWall = (time.Duration(c.restab) * liveTick).Round(time.Millisecond).String()
-			ratio = fmt.Sprintf("%.3f", float64(c.restab)/float64(pp.DeltaStb()))
-		}
-		t.AddRow(seed, c.committed, c.restab, ratio, restabWall,
-			fmt.Sprintf("%d/3", c.replayPeer), c.violations)
-		r.Violations += c.violations
-		for _, e := range c.errs {
-			r.Notes = append(r.Notes, e)
-		}
-		cellWall[fmt.Sprintf("campaign/%d", seed)] = c.cellWallMS
-	}
-	r.Tables = append(r.Tables, t)
-	r.CellWallMS = cellWall
-	if retries > 0 {
-		r.Notes = append(r.Notes, fmt.Sprintf(
-			"%d cell(s) were rerun after an incomplete first attempt (host contention starved the run past the d deadline)", retries))
-	}
-	r.Notes = append(r.Notes,
-		"same campaign as V4 but over real UDP sockets under the wall clock: the rolled node's socket closes, its replacement rebinds the same address at the next incarnation, and Δstb here is real milliseconds, not a schedule",
-		"the replay column injects the old incarnation's frame through an anonymous UDP sender — the live pipeline's epoch check (before authentication, by design) must count it on every peer",
 	)
 	return r
 }

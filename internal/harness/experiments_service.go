@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ssbyz/internal/metrics"
-	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/service"
 	"ssbyz/internal/sim"
@@ -27,8 +26,7 @@ import (
 //
 // Like the rest of the deterministic suite the numbers are virtual-time
 // (1 tick = 1 ms, so the default d = 1000 ticks reads as one second);
-// wall-clock cost goes to cell_wall_ms. Experiment L2 below spot-checks
-// the same service against real loopback sockets.
+// wall-clock cost goes to cell_wall_ms.
 
 // ServiceConcurrency is the S3 session-count sweep. It is not shrunk in
 // quick mode — the concurrency curve is the point — only the entry and
@@ -163,132 +161,6 @@ func S3Service(opt Options) *Result {
 		fmt.Sprintf("sustained throughput at concurrency 16 is ×%.1f the single-session rate (the PR gate requires ≥4×)", thr[16]/thr[1]),
 		"p50/p99 are commit−arrival (queue wait included): saturation at low concurrency shows up as latency, exactly the open-loop story",
 		"every cell runs the full per-session property battery (Agreement, Timeliness, IA/TPS bounds, per-entry Validity) — violations must be zero",
-	)
-	return r
-}
-
-// ---- L2: the service against real loopback sockets ----
-
-// L2 spot-checks the replicated-log service where S3's virtual-time
-// claims must survive contact with the kernel: an in-process loopback
-// UDP cluster (wire codec, source-address authentication, deadline
-// drops), the same pump polling on wall-clock. Like L1 its numbers are
-// wall-clock and vary with the host, so it is NOT in All(); ssbyz-bench
-// -live appends it after L1. The deterministic acceptance is the
-// verdict: every entry commits and the per-session battery is clean.
-
-// l2Cell is one live service run.
-type l2Cell struct {
-	committed  int
-	agrSec     float64 // committed per wall-second of drain
-	p50MS      float64
-	violations int
-	errs       []string
-	wallMS     float64
-	timedOut   bool
-}
-
-func runL2Cell(sessions, entries, seed int) l2Cell {
-	start := time.Now()
-	var c l2Cell
-	pp := protocol.DefaultParams(4)
-	pp.D = liveD
-	arrivals := service.PoissonArrivals(int64(100*sessions+seed),
-		simtime.Real(2*pp.D), pp.D/2, entries)
-	res, err := service.RunLive(service.LiveConfig{
-		Params:     pp,
-		Tick:       liveTick,
-		Transport:  nettrans.TransportUDP,
-		Sessions:   sessions,
-		QueueLimit: entries, // spot-check drains everything; S3 owns shedding
-	}, []service.Workload{{G: 0, Arrivals: arrivals}}, 60*time.Second)
-	drainS := time.Since(start).Seconds()
-	if err != nil {
-		c.timedOut = true
-		c.violations++
-		c.errs = append(c.errs, err.Error())
-		c.wallMS = float64(time.Since(start).Microseconds()) / 1000
-		return c
-	}
-	st := res.Logs[0].Stats()
-	c.committed = st.Committed
-	if st.Committed != entries || st.Failed > 0 || st.Dropped > 0 {
-		c.violations++
-		c.errs = append(c.errs, fmt.Sprintf(
-			"live log incomplete: committed=%d failed=%d dropped=%d of %d",
-			st.Committed, st.Failed, st.Dropped, entries))
-	}
-	if drainS > 0 {
-		c.agrSec = float64(st.Committed) / drainS
-	}
-	tickMS := float64(liveTick.Microseconds()) / 1000
-	var lats []float64
-	for _, l := range st.Latencies {
-		lats = append(lats, float64(l))
-	}
-	c.p50MS = metrics.Summarize(lats).P50 * tickMS
-	vs := service.Battery(res.Res, res.Logs)
-	c.violations += len(vs)
-	for _, v := range vs {
-		c.errs = append(c.errs, v.String())
-	}
-	c.wallMS = float64(time.Since(start).Microseconds()) / 1000
-	return c
-}
-
-// L2LiveService is the live service spot-check. Cells run sequentially
-// for the same reason L1's do: overlapping clusters would contend for
-// the host. Cells that time out (host starvation, not protocol failure)
-// are retried a bounded number of times, L1-style.
-func L2LiveService(opt Options) *Result {
-	r := &Result{ID: "L2", Title: "Live service: replicated log over loopback sockets"}
-	seeds, entries := 2, 6
-	if !opt.Quick {
-		seeds, entries = 3, 12
-	}
-	t := metrics.NewTable(
-		fmt.Sprintf("replicated-log service over UDP loopback (n=4, d = %d ticks × %v, %d entries)",
-			liveD, liveTick, entries),
-		"transport", "sessions", "seeds", "committed", "agr/sec", "p50 lat ms", "violations")
-	cellWall := make(map[string]float64)
-	retries := 0
-	for _, sessions := range []int{1, 8} {
-		var committed float64
-		var agrSec, p50, wall float64
-		violations := 0
-		for seed := 0; seed < seeds; seed++ {
-			var c l2Cell
-			for attempt := 0; ; attempt++ {
-				c = runL2Cell(sessions, entries, seed)
-				if !c.timedOut || attempt >= 2 {
-					break
-				}
-				retries++
-			}
-			committed += float64(c.committed)
-			agrSec += c.agrSec
-			p50 += c.p50MS
-			wall += c.wallMS
-			violations += c.violations
-			for _, e := range c.errs {
-				r.Notes = append(r.Notes, fmt.Sprintf("sessions=%d: %s", sessions, e))
-			}
-		}
-		sN := float64(seeds)
-		t.AddRow("udp", sessions, seeds, committed/sN,
-			fmt.Sprintf("%.1f", agrSec/sN), fmt.Sprintf("%.2f", p50/sN), violations)
-		r.Violations += violations
-		cellWall[fmt.Sprintf("svc/udp/4/c%d", sessions)] = wall / sN
-	}
-	r.Tables = append(r.Tables, t)
-	r.CellWallMS = cellWall
-	if retries > 0 {
-		r.Notes = append(r.Notes, fmt.Sprintf(
-			"%d cell(s) were rerun after a drain timeout (host contention); persistent failures are reported", retries))
-	}
-	r.Notes = append(r.Notes,
-		"the same pump as S3 against real sockets: every initiation crosses the wire codec, commits are harvested from the live trace, and the per-session battery must stay clean",
-		"agr/sec here is wall-clock (host-dependent); the deterministic acceptance is full commitment and zero violations",
 	)
 	return r
 }

@@ -17,18 +17,25 @@ import (
 // Experiments V1/V2 "Deterministic live campaign": the live runtimes — the
 // socket-shaped nettrans pipeline (V1) and the replicated-log service over
 // it (V2) — run under virtual time on a clock.Fake over the deterministic
-// in-memory wire (DESIGN.md §9). The SAME code as L1/L2 executes above the
-// transport: wire codec, source authentication, epoch checks, deadline
-// drops, chaos schedules, event loops, the pump. What changes is time:
-// every timer fires in (deadline, seq) order and every cascade drains
-// before the next, so — unlike L1/L2, whose wall-clock numbers vary with
-// the host — these cells are exactly reproducible and their columns are
-// reported in ticks and multiples of d. That is why V1/V2 live in All()
-// and the default `go test ./...` while L1/L2 need `-live`: a deterministic
-// live campaign can gate CI byte-for-byte.
+// in-memory wire (DESIGN.md §9). The same code as a socket deployment
+// executes above the transport: wire codec, source authentication, epoch
+// checks, deadline drops, chaos schedules, event loops, the pump. What
+// changes is time: every timer fires in (deadline, seq) order and every
+// cascade drains before the next, so these cells are exactly reproducible
+// and their columns are reported in ticks and multiples of d. That is why
+// V1/V2 live in All() and the default `go test ./...`: a deterministic
+// live campaign can gate CI byte-for-byte. Wall-clock rates of the same
+// pipeline over real sockets are measured by the benchmark module
+// (live-agree, live-service, wire-pump).
 
-// virtCell is one virtual live cluster run (the deterministic counterpart
-// of liveCell: same pipeline, no wall-clock fields).
+// liveD is the paper's d for the V1–V4 cells, in ticks of liveTick:
+// 250 ticks × 100µs = 25ms of virtual time.
+const (
+	liveD    = simtime.Duration(250)
+	liveTick = 100 * time.Microsecond
+)
+
+// virtCell is one virtual live cluster run.
 type virtCell struct {
 	lats       []float64 // per-node decide latency, ticks
 	stats      nettrans.Stats
@@ -72,8 +79,8 @@ func runVirtualCell(n int, transport string, conds []simnet.Condition,
 	lr := &check.LiveResult{Result: res}
 	c.lats = lr.DecideLatencies(0, value, t0)
 	if deciders != len(res.Correct) || len(c.lats) != len(res.Correct) {
-		// Unlike L1 there is no retry path: virtual time cannot be starved
-		// by the host, so non-decision here is always protocol signal.
+		// Virtual time cannot be starved by the host, so non-decision
+		// here is always protocol signal.
 		return fail("only %d/%d correct nodes decided under virtual time", deciders, len(res.Correct))
 	}
 	vs := lr.Battery([]check.LiveInitiation{{G: 0, V: value, T0: t0}})
@@ -120,11 +127,10 @@ type virtConfig struct {
 	faulty    map[protocol.NodeID]protocol.Node
 }
 
-// V1VirtualLive is the deterministic mirror of L1: the same committee
-// sweep, TCP baseline, and chaos replay, over the virtual wire. Cells run
-// on the shared worker pool — each owns its fake clock, so parallelism
-// cannot perturb the cells, and the report is byte-identical for every
-// Workers setting and every run.
+// V1VirtualLive is the committee sweep, TCP baseline, and chaos replay
+// over the virtual wire. Cells run on the shared worker pool — each owns
+// its fake clock, so parallelism cannot perturb the cells, and the report
+// is byte-identical for every Workers setting and every run.
 func V1VirtualLive(opt Options) *Result {
 	r := &Result{ID: "V1", Title: "Deterministic live campaign: the socket pipeline under virtual time"}
 	seeds := 2
@@ -157,16 +163,15 @@ func V1VirtualLive(opt Options) *Result {
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
-		"same pipeline as L1 — wire codec, authentication, deadline drops, chaos — but timers fire on a fake clock over the deterministic in-memory wire, so every number above is exact and reproducible (DESIGN.md §9)",
+		"the pipeline a socket deployment runs — wire codec, authentication, deadline drops, chaos — but timers fire on a fake clock over the deterministic in-memory wire, so every number above is exact and reproducible (DESIGN.md §9)",
 		"latencies are in ticks of virtual time, not wall milliseconds: the run is a schedule, not a measurement, and it is byte-identical across runs, hosts, and worker counts",
-		"the chaos row replays the L1 ConditionSchedule (jitter everywhere + partition around a crashed node) with a clean battery — deterministically, every time",
+		"the chaos row replays a ConditionSchedule (jitter everywhere + partition around a crashed node) with a clean battery — deterministically, every time",
 	)
 	return r
 }
 
-// V2VirtualService is the deterministic mirror of L2: the replicated-log
-// service with footnote-9 concurrent sessions, driven by the pump under
-// virtual time.
+// V2VirtualService is the replicated-log service with footnote-9
+// concurrent sessions, driven by the pump under virtual time.
 func V2VirtualService(opt Options) *Result {
 	r := &Result{ID: "V2", Title: "Deterministic live service: replicated log under virtual time"}
 	seeds, entries := 2, 6
@@ -238,7 +243,7 @@ func V2VirtualService(opt Options) *Result {
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
-		"the L2 burst as a deterministic schedule: the pump advances the fake clock a quarter-d at a time, sessions multiplex over the virtual wire, and commit latencies come out in exact ticks",
+		"a Poisson burst at General 0 as a deterministic schedule: the pump advances the fake clock a quarter-d at a time, sessions multiplex over the virtual wire, and commit latencies come out in exact ticks",
 	)
 	return r
 }

@@ -92,12 +92,6 @@ type Result struct {
 	// fills it with the mean per-seed wall clock per committee size) —
 	// the series the BENCH regression guard compares across commits.
 	CellWallMS map[string]float64 `json:"cell_wall_ms,omitempty"`
-	// Floors records measured rates a committed artifact must prove (L1
-	// fills it with the transport pump's aggregate msgs/sec): the bench
-	// guard asserts a minimum on the committed value, so a regression on
-	// the builder machine cannot be committed silently. Like WallMS it is
-	// machine-varying and excluded from WriteTo.
-	Floors map[string]float64 `json:"floors,omitempty"`
 }
 
 // WriteTo renders the result.

@@ -52,27 +52,3 @@ func TestServiceDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("S3 report differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
 	}
 }
-
-// TestL2LiveServiceQuick runs the live service spot-check (quick: 2
-// seeds, 6 entries, sessions 1 and 8) against real loopback sockets.
-// Wall-clock numbers vary; the acceptance is the verdict — every entry
-// committed, zero violations, both cells costed for the BENCH artifact.
-func TestL2LiveServiceQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("brings up real socket clusters; skipped in -short")
-	}
-	res := L2LiveService(Options{Quick: true})
-	if res.Violations != 0 {
-		var buf bytes.Buffer
-		_, _ = res.WriteTo(&buf)
-		t.Fatalf("L2 found %d violations:\n%s", res.Violations, buf.String())
-	}
-	if len(res.Tables) != 1 || len(res.Tables[0].Rows) != 2 {
-		t.Fatalf("L2 table shape wrong: %+v", res.Tables)
-	}
-	for _, key := range []string{"svc/udp/4/c1", "svc/udp/4/c8"} {
-		if v, ok := res.CellWallMS[key]; !ok || v <= 0 {
-			t.Errorf("CellWallMS[%q] = %v, want > 0", key, v)
-		}
-	}
-}

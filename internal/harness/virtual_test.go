@@ -29,9 +29,9 @@ func renderVirtual(t *testing.T, workers int) []byte {
 // virtual-time runtimes: the V1 sweep (n ∈ {4,7,16}, TCP baseline, chaos
 // replay) and the V2 service burst must produce byte-identical reports
 // across two runs AND across worker counts — live-pipeline numbers with
-// simulator-grade reproducibility, in the default `go test ./...` with no
-// -live flag. (TestRunAllDeterministicAcrossWorkers re-checks the same
-// inside the full suite.)
+// simulator-grade reproducibility, in the default `go test ./...`.
+// (TestRunAllDeterministicAcrossWorkers re-checks the same inside the
+// full suite.)
 func TestVirtualCampaignDeterministic(t *testing.T) {
 	seq := renderVirtual(t, 1)
 	seqAgain := renderVirtual(t, 1)

@@ -12,7 +12,7 @@ import (
 // into pooled buffers, sharded decode, dedup, delivery — with NullNode
 // stubbing the protocol out. TestRecvBufferPoolRace is the -race stress
 // for the pooled receive buffers; the benchmark and the floor test are
-// the local instruments behind the committed L1 artifact floor.
+// the local instruments behind the committed BENCH_PR9 artifact floor.
 
 // pumpCluster boots an n-node wall-clock UDP NullNode cluster with a
 // deadline window wide enough that scheduler hiccups read as loss (which
@@ -32,10 +32,11 @@ func pumpCluster(t testing.TB, n int) *Cluster {
 }
 
 // TestRecvBufferPoolRace hammers the pooled receive path (referenced by
-// the ownership comment in socket.go): recvmmsg fills pooled buffers,
-// ingest shards consume and recycle them, and the race detector checks
-// the handoff. Four nodes all pumping at once maximizes pool churn —
-// every socket is simultaneously filling buffers and returning them.
+// the ownership comment in socket.go): the reader copies each datagram
+// into a pooled buffer, ingest shards consume and recycle them, and the
+// race detector checks the handoff. Four nodes all pumping at once
+// maximizes pool churn — every socket is simultaneously filling buffers
+// and returning them.
 func TestRecvBufferPoolRace(t *testing.T) {
 	c := pumpCluster(t, 4)
 	done := make(chan PumpResult, 4)

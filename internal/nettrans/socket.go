@@ -95,21 +95,28 @@ func (s *Socket) Close() {
 
 // ---- UDP ----
 
-// recvBufSize is the pooled receive buffer size: comfortably above the
-// largest datagram the coalescer emits (maxBatchBytes plus one frame and
-// the envelope) and the UDP payload ceiling.
+// recvBufSize is the size of one read slot of the socket reader:
+// comfortably above the largest datagram the coalescer emits
+// (maxBatchBytes plus one frame and the envelope) and the UDP payload
+// ceiling.
 const recvBufSize = 64 << 10
+
+// ingestBufCap is the starting capacity of a pooled ingest buffer. The
+// reader copies each datagram out of its read slot into one, so only the
+// datagram's own bytes travel to the shard worker and the slot is read
+// into again at once. Most datagrams are far smaller; a larger one grows
+// its buffer, which returns to the pool grown.
+const ingestBufCap = 4 << 10
 
 // ingestShardCap bounds the number of ingest shards; more shards than
 // cores just adds context switches.
 const ingestShardCap = 4
 
 // ingestItem is one received datagram in flight from the socket reader
-// to an ingest shard: a pooled buffer (returned to the pool by the
-// shard worker), the datagram length, and the kernel-reported source.
+// to an ingest shard: a pooled copy of its bytes (returned to the pool by
+// the shard worker) and the kernel-reported source.
 type ingestItem struct {
 	buf *[]byte
-	n   int
 	src netip.AddrPort
 }
 
@@ -123,9 +130,13 @@ type udpTransport struct {
 	peers []netip.AddrPort
 
 	// shards are the inbound per-source queues; bufPool recycles the
-	// receive buffers the socket reader fills and the shard workers drain.
+	// datagram copies the socket reader fills and the shard workers drain.
 	shards  []chan ingestItem
 	bufPool sync.Pool
+
+	// slots are the reader's read slots, recvBufSize each: recvBatch of
+	// them on the mmsg path, one otherwise.
+	slots []byte
 
 	// mmsg fast path (linux amd64/arm64 only; see socket_mmsg_*.go).
 	mmsgOK   bool
@@ -135,7 +146,7 @@ type udpTransport struct {
 func newUDPTransport(nn *NetNode, conn *net.UDPConn, peers []string) (*udpTransport, error) {
 	t := &udpTransport{nn: nn, conn: conn, peers: make([]netip.AddrPort, len(peers))}
 	t.bufPool.New = func() any {
-		b := make([]byte, recvBufSize)
+		b := make([]byte, 0, ingestBufCap)
 		return &b
 	}
 	for i, p := range peers {
@@ -147,6 +158,16 @@ func newUDPTransport(nn *NetNode, conn *net.UDPConn, peers []string) (*udpTransp
 		t.peers[i] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	}
 	t.initMMsg()
+	// The read slots are allocated here, with the node, not by the reader
+	// goroutine when it first runs. They are most of a live cluster's
+	// heap, so their allocation drives the collector's start-up cycles,
+	// and those must end before traffic starts: a collection inside the
+	// first burst holds frames past the d deadline.
+	nslots := 1
+	if t.mmsgOK {
+		nslots = recvBatch
+	}
+	t.slots = make([]byte, nslots*recvBufSize)
 	nshards := runtime.GOMAXPROCS(0)
 	if nshards > ingestShardCap {
 		nshards = ingestShardCap
@@ -195,36 +216,37 @@ func (t *udpTransport) sendBatch(dsts []protocol.NodeID, frames [][]byte) {
 
 func (t *udpTransport) close() { t.conn.Close() }
 
-func (t *udpTransport) getBuf() *[]byte  { return t.bufPool.Get().(*[]byte) }
-func (t *udpTransport) putBuf(b *[]byte) { t.bufPool.Put(b) }
-
-// recvLoop is the socket reader: it fills pooled buffers and hands them
-// to the ingest shards. When the platform mmsg path is available it
-// drains whole batches of datagrams per syscall instead.
+// recvLoop is the socket reader: it reads into its slot and hands a
+// pooled copy of each datagram to the ingest shards. When the platform
+// mmsg path is available it drains whole batches of datagrams per
+// syscall instead.
 func (t *udpTransport) recvLoop() {
 	defer t.closeShards()
 	if t.recvLoopMMsg() {
 		return
 	}
+	buf := t.slots
 	for {
-		bp := t.getBuf()
-		n, src, err := t.conn.ReadFromUDPAddrPort(*bp)
+		n, src, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			t.putBuf(bp)
 			return // socket closed
 		}
-		t.dispatch(ingestItem{buf: bp, n: n, src: netip.AddrPortFrom(src.Addr().Unmap(), src.Port())})
+		t.dispatch(buf[:n], netip.AddrPortFrom(src.Addr().Unmap(), src.Port()))
 	}
 }
 
-// dispatch routes one datagram to its source's shard. The mapping is a
-// pure function of the source address, so frames of one link always
-// land on the same shard and per-link FIFO order survives the fan-out;
+// dispatch copies one datagram into a pooled buffer, so the reader's
+// slot is free on return, and routes it to its source's shard. The
+// mapping is a pure function of the source address, so frames of one
+// link always land on the same shard and per-link FIFO order survives
+// the fan-out;
 // the blocking send is deliberate backpressure (a slow shard fills its
 // queue, then the kernel buffer, then the excess is datagram loss — the
 // failure mode the protocol already tolerates).
-func (t *udpTransport) dispatch(it ingestItem) {
-	t.shards[t.shardOf(it.src)] <- it
+func (t *udpTransport) dispatch(dg []byte, src netip.AddrPort) {
+	bp := t.bufPool.Get().(*[]byte)
+	*bp = append((*bp)[:0], dg...)
+	t.shards[t.shardOf(src)] <- ingestItem{buf: bp, src: src}
 }
 
 func (t *udpTransport) shardOf(src netip.AddrPort) int {
@@ -251,8 +273,8 @@ func (t *udpTransport) closeShards() {
 // (pinned by TestRecvBufferPoolRace under -race).
 func (t *udpTransport) ingestLoop(ch chan ingestItem) {
 	for it := range ch {
-		t.process((*it.buf)[:it.n], it.src)
-		t.putBuf(it.buf)
+		t.process(*it.buf, it.src)
+		t.bufPool.Put(it.buf)
 	}
 }
 

@@ -127,8 +127,8 @@ func (t *udpTransport) sendMMsg(dsts []protocol.NodeID, frames [][]byte) {
 
 // recvLoopMMsg is the batched receive loop: it replaces the portable
 // loop entirely when the fast path applies (returning true), draining
-// up to recvBatch datagrams per syscall into pooled buffers and
-// dispatching each to its ingest shard.
+// up to recvBatch datagrams per syscall into the loop's own read slots
+// and dispatching a copy of each to its ingest shard.
 func (t *udpTransport) recvLoopMMsg() bool {
 	if !t.mmsgOK {
 		return false
@@ -141,16 +141,12 @@ func (t *udpTransport) recvLoopMMsg() bool {
 		hdrs  [recvBatch]mmsghdr
 		iovs  [recvBatch]syscall.Iovec
 		names [recvBatch]syscall.RawSockaddrInet6
-		bufs  [recvBatch]*[]byte
 	)
+	slots := t.slots
 	for {
 		for i := 0; i < recvBatch; i++ {
-			if bufs[i] == nil {
-				bufs[i] = t.getBuf()
-			}
-			b := *bufs[i]
-			iovs[i].Base = &b[0]
-			iovs[i].Len = uint64(len(b))
+			iovs[i].Base = &slots[i*recvBufSize]
+			iovs[i].Len = recvBufSize
 			hdrs[i] = mmsghdr{}
 			hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&names[i]))
 			hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(names[i]))
@@ -178,9 +174,7 @@ func (t *udpTransport) recvLoopMMsg() bool {
 			if !ok {
 				continue
 			}
-			it := ingestItem{buf: bufs[i], n: int(hdrs[i].n), src: src}
-			bufs[i] = nil // ownership moved to the shard worker
-			t.dispatch(it)
+			t.dispatch(slots[i*recvBufSize:i*recvBufSize+int(hdrs[i].n)], src)
 		}
 	}
 }

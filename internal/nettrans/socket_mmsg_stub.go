@@ -11,6 +11,10 @@ import "ssbyz/internal/protocol"
 
 const mmsgEnabled = false
 
+// recvBatch is unused on this platform: mmsgOK is never set, so the
+// reader has one slot.
+const recvBatch = 1
+
 // rawAddr is unused on this platform.
 type rawAddr struct{}
 

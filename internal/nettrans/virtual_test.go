@@ -14,8 +14,8 @@ import (
 	"ssbyz/internal/wire"
 )
 
-// virtualParams sizes a virtual cluster like the L1 live cells: d = 250
-// ticks of 100µs — except no wall clock is involved, the numbers only
+// virtualParams sizes a virtual cluster like the harness's V1 cells:
+// d = 250 ticks of 100µs — no wall clock is involved, the numbers only
 // feed the protocol constants.
 func virtualParams(n int) protocol.Params {
 	pp := protocol.DefaultParams(n)

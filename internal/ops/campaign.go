@@ -21,7 +21,8 @@ import (
 // deterministic in-memory wire under a *clock.Fake), the service pump
 // committing replicated-log entries at General 0 throughout, and the
 // spec's membership schedule executed at quiescent points. The virtual
-// form is experiment V4; the wall form over real UDP is the L4 smoke.
+// form is experiment V4; the wall form over real UDP is
+// `ssbyz-cluster -n 4 -roll 2`.
 type CampaignConfig struct {
 	Spec      ClusterSpec
 	Transport string        // nettrans.TransportUDP (default) or TCP

@@ -131,7 +131,7 @@ func ParseSpec(blob []byte) (ClusterSpec, error) {
 // campaign for an n-node committee: slot n−1 boots late (scale-up at
 // 10d), slot `roll` is replaced at 22d, and the fleet drains once the
 // workload commits and the roll re-stabilizes. This is the spec behind
-// ssbyz-cluster's quick form, experiment V4, and the L4 smoke.
+// ssbyz-cluster's quick form (wall clock or -virtual) and experiment V4.
 func QuickSpec(n, roll int, d simtime.Duration, seed int64) ClusterSpec {
 	return ClusterSpec{
 		Manifest: nettrans.Manifest{

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ssbyz/internal/clock"
+	"ssbyz/internal/hostlock"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
 	"ssbyz/internal/wire"
@@ -15,11 +16,13 @@ import (
 // TestLiveServiceMultiplexed drives the replicated log over real loopback
 // sockets with concurrent footnote-9 sessions sharing one socket per
 // node: every entry commits and the per-session battery is clean on the
-// live trace. Wall-clock, so gated out of -short.
+// live trace. Wall-clock, so gated out of -short and run under the host
+// lock, which keeps CPU-bound test binaries off the cores meanwhile.
 func TestLiveServiceMultiplexed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binds loopback sockets and runs wall-clock agreements; skipped in -short")
 	}
+	hostlock.Hold(t)
 	pp := protocol.DefaultParams(4)
 	pp.D = 60 // keep Δagr wall-time small at the default 100µs tick
 	const entries = 6
@@ -45,8 +48,8 @@ func TestLiveServiceMultiplexed(t *testing.T) {
 // time: same pump, same sockets-shaped pipeline, but the cluster runs on
 // a fake clock over the deterministic in-memory wire, so it needs no
 // -short gate and two executions must agree byte for byte — committed
-// logs, commit instants, and the full trace stream. This is the L2
-// deterministic-live cell the default `go test ./...` runs.
+// logs, commit instants, and the full trace stream. This is the
+// deterministic-live service cell the default `go test ./...` runs.
 func TestLiveServiceVirtual(t *testing.T) {
 	run := func(seed int64) (*LiveResult, []byte) {
 		pp := protocol.DefaultParams(4)
@@ -96,11 +99,14 @@ func TestLiveServiceVirtual(t *testing.T) {
 // pump's decide-driven wake-ups all interleave under load. Run under -race
 // (CI's service race gate) it proves the multiplexing added no data
 // races; in any build the verdict is full commitment and a clean
-// per-session battery. Wall-clock, so gated out of -short.
+// per-session battery. Wall-clock, so gated out of -short and run under
+// the host lock, which keeps CPU-bound test binaries off the cores
+// meanwhile.
 func TestLiveServiceConcurrentStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binds loopback sockets and runs wall-clock agreements; skipped in -short")
 	}
+	hostlock.Hold(t)
 	pp := protocol.DefaultParams(4)
 	pp.D = 60
 	const entries = 8

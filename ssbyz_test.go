@@ -117,23 +117,6 @@ func TestSimulationIG1Refusal(t *testing.T) {
 	}
 }
 
-func TestRunExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment suite is seconds-long; skipped in -short")
-	}
-	var sb strings.Builder
-	violations, err := ssbyz.RunExperiments(&sb, ssbyz.ExperimentOptions{Quick: true})
-	if err != nil {
-		t.Fatalf("RunExperiments: %v", err)
-	}
-	if violations != 0 {
-		t.Errorf("suite reported %d violations\n%s", violations, sb.String())
-	}
-	if !strings.Contains(sb.String(), "## E5 ") {
-		t.Error("output missing the headline experiment E5")
-	}
-}
-
 func TestLiveClusterEndToEnd(t *testing.T) {
 	lc, err := ssbyz.NewLiveCluster(ssbyz.LiveConfig{N: 4, Seed: 6})
 	if err != nil {
