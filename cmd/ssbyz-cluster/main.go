@@ -136,7 +136,7 @@ func run() error {
 			return err
 		}
 	}
-	return judgeReport(rep)
+	return judgeReport(spec, rep)
 }
 
 // loadSpec resolves the campaign spec: the -spec file, or the quick
@@ -212,11 +212,25 @@ func printReport(rep *ops.CampaignReport, virtual bool, tick time.Duration) {
 		rep.Stats.Sent, rep.Stats.Received, rep.Stats.EpochDrops, rep.Stats.LateDrops)
 }
 
-// judgeReport turns the report into the exit verdict: workload
-// committed, every roll within Δstb with the replay rejected everywhere,
-// final fleet health stabilized.
-func judgeReport(rep *ops.CampaignReport) error {
+// judgeReport turns the report into the exit verdict: every scale and
+// roll step of the spec executed, workload committed, every roll within
+// Δstb with the replay rejected everywhere, final fleet health
+// stabilized.
+func judgeReport(spec ops.ClusterSpec, rep *ops.CampaignReport) error {
 	var errs []string
+	var scales, rolls int
+	for _, st := range spec.Steps {
+		switch st.Op {
+		case ops.OpScale:
+			scales++
+		case ops.OpRoll:
+			rolls++
+		}
+	}
+	if len(rep.Scales) != scales || len(rep.Rolls) != rolls {
+		errs = append(errs, fmt.Sprintf("membership: %d scales and %d rolls executed, the spec has %d and %d",
+			len(rep.Scales), len(rep.Rolls), scales, rolls))
+	}
 	if rep.Committed == 0 || rep.Failed != 0 || rep.Dropped != 0 {
 		errs = append(errs, fmt.Sprintf("workload: committed=%d failed=%d dropped=%d",
 			rep.Committed, rep.Failed, rep.Dropped))

@@ -360,3 +360,60 @@ func TestConcurrentGeneralsIndependentInstances(t *testing.T) {
 		}
 	}
 }
+
+// TestSBlockDecisionIgnoresMapOrder plants Block S residue for several
+// values through CorruptLevel and checks that the decision and its relay
+// round are the same in every one of 100 runs: the smallest satisfiable r
+// first, then the smallest value. In the first case every value has a
+// level-1 chain, so r = 1 and "a" wins. In the second, r = 1 has expired
+// (τG lies 4Φ back), so only values with a distinct two-level chain
+// qualify at r = 2: "c" and "d", of which "c" wins although "a" and "b"
+// sort first.
+func TestSBlockDecisionIgnoresMapOrder(t *testing.T) {
+	type plant struct {
+		v protocol.Value
+		k int
+		p protocol.NodeID
+	}
+	cases := []struct {
+		name   string
+		back   int // τG lies back·Φ before now
+		plants []plant
+		want   protocol.Value
+		wantK  int
+	}{
+		{"r=1", 0, []plant{{"b", 1, 2}, {"a", 1, 3}, {"c", 1, 4}}, "a", 2},
+		{"r=2", 4, []plant{
+			{"a", 1, 2},
+			{"b", 1, 2}, {"b", 2, 2}, // one sender cannot fill two levels
+			{"d", 1, 3}, {"d", 2, 4},
+			{"c", 1, 4}, {"c", 2, 5},
+		}, "c", 3},
+	}
+	for _, tc := range cases {
+		for run := 0; run < 100; run++ {
+			w, nodes := world(t, 7, int64(run))
+			pp := w.Params()
+			inst := nodes[1].Instance(0)
+			now := w.LocalNow(1)
+			inst.CorruptMidAgreement(now-simtime.Local(simtime.Duration(tc.back)*pp.Phi()), "x")
+			for _, pl := range tc.plants {
+				inst.CorruptLevel(pl.v, pl.k, pl.p, now)
+			}
+			inst.trySBlock(now)
+			returned, decided, v := inst.Returned()
+			if !returned || !decided || v != tc.want {
+				t.Fatalf("%s run %d: (%v,%v,%q), want decide %q", tc.name, run, returned, decided, v, tc.want)
+			}
+			var k int
+			for _, ev := range w.Recorder().Events() {
+				if ev.Kind == protocol.EvDecide && ev.Node == 1 && ev.G == 0 {
+					k = ev.K
+				}
+			}
+			if k != tc.wantK {
+				t.Fatalf("%s run %d: relay round %d, want %d", tc.name, run, k, tc.wantK)
+			}
+		}
+	}
+}

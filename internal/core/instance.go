@@ -196,12 +196,16 @@ func (inst *Instance) onAccept(p protocol.NodeID, m protocol.Value, k int) {
 // trySBlock evaluates Block S: if by τq ≤ τG + (2r+1)·Φ the node has
 // accepted r messages (p_i, ⟨G,m″⟩, i) for i = 1..r with pairwise-distinct
 // p_i ≠ G, it decides m″ and relays at level r+1. The smallest satisfiable
-// r fires (deciding at the earliest opportunity).
+// r fires (deciding at the earliest opportunity); when several values
+// satisfy it, the smallest value is decided, so the outcome never depends
+// on map iteration order.
 func (inst *Instance) trySBlock(now simtime.Local) {
 	if inst.returned || !inst.tauGSet {
 		return
 	}
 	elapsed := inst.pp.Sub(now, inst.tauG)
+	var best protocol.Value
+	bestR := 0
 	for m, byLevel := range inst.levels {
 		maxR := 0
 		for k := range byLevel {
@@ -209,15 +213,20 @@ func (inst *Instance) trySBlock(now simtime.Local) {
 				maxR = k
 			}
 		}
-		for r := 1; r <= maxR && r <= inst.pp.F; r++ {
+		for r := 1; r <= maxR && r <= inst.pp.F && (bestR == 0 || r <= bestR); r++ {
 			if elapsed > simtime.Duration(2*r+1)*inst.pp.Phi() {
 				continue
 			}
 			if inst.hasDistinctChain(m, r) {
-				inst.decide(m, r+1)
-				return
+				if bestR == 0 || r < bestR || m < best {
+					best, bestR = m, r
+				}
+				break
 			}
 		}
+	}
+	if bestR > 0 {
+		inst.decide(best, bestR+1)
 	}
 }
 

@@ -39,9 +39,13 @@ import (
 // — receive loops, timer bodies — need no shutdown coordination of their
 // own.
 type Mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] are the undrained events. The backing array is kept:
+	// it rewinds when the queue drains and compacts when an append would
+	// grow it, so a mailbox at a steady depth enqueues without allocating.
 	queue  []func()
+	head   int
 	closed bool
 	dead   chan struct{}
 	// gate, when non-nil, holds one busy token per event from Enqueue
@@ -69,6 +73,11 @@ func (m *Mailbox) Enqueue(fn func()) bool {
 		m.mu.Unlock()
 		return false
 	}
+	if len(m.queue) == cap(m.queue) && m.head > 0 {
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
+	}
 	m.queue = append(m.queue, fn)
 	if m.gate != nil {
 		m.gate.AddBusy(1)
@@ -86,8 +95,8 @@ func (m *Mailbox) Close() {
 	if !m.closed {
 		m.closed = true
 		close(m.dead)
-		dropped = len(m.queue)
-		m.queue = nil
+		dropped = len(m.queue) - m.head
+		m.queue, m.head = nil, 0
 	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
@@ -104,15 +113,18 @@ func (m *Mailbox) Done() <-chan struct{} { return m.dead }
 func (m *Mailbox) Loop() {
 	for {
 		m.mu.Lock()
-		for len(m.queue) == 0 && !m.closed {
+		for m.head == len(m.queue) && !m.closed {
 			m.cond.Wait()
 		}
 		if m.closed {
 			m.mu.Unlock()
 			return
 		}
-		fn := m.queue[0]
-		m.queue = m.queue[1:]
+		fn := m.queue[m.head]
+		m.queue[m.head] = nil
+		if m.head++; m.head == len(m.queue) {
+			m.queue, m.head = m.queue[:0], 0
+		}
 		m.mu.Unlock()
 		fn()
 		if m.gate != nil {

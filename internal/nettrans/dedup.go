@@ -71,10 +71,15 @@ type dedupGen struct {
 	arena []byte
 }
 
-func (g *dedupGen) init() {
-	g.tab = make(map[uint64]dedupRef, 64)
+// init sizes a fresh generation for entries frames carrying arena
+// payload bytes (at least 64 entries).
+func (g *dedupGen) init(entries, arena int) {
+	g.tab = make(map[uint64]dedupRef, max(entries, 64))
+	g.arena = make([]byte, 0, arena)
 }
 
+// reset empties a generation for reuse; the table and the arena keep
+// their capacity.
 func (g *dedupGen) reset() {
 	clear(g.tab)
 	if g.over != nil {
@@ -83,22 +88,23 @@ func (g *dedupGen) reset() {
 	g.arena = g.arena[:0]
 }
 
-// match scans this generation for a live byte-identical triple.
-func (g *dedupGen) match(key uint64, f wire.Frame, now simtime.Real, w simtime.Duration) bool {
-	if g.tab == nil {
-		return false
+// match scans this generation for a live byte-identical triple. taken
+// reports whether the main table holds an entry under key at all, so an
+// insert that follows needs no second lookup.
+func (g *dedupGen) match(key uint64, f wire.Frame, now simtime.Real, w simtime.Duration) (dup, taken bool) {
+	e, ok := g.tab[key]
+	if !ok {
+		return false, false
 	}
-	if e, ok := g.tab[key]; ok {
+	if g.refEqual(e, f, now, w) {
+		return true, true
+	}
+	for _, e := range g.over[key] {
 		if g.refEqual(e, f, now, w) {
-			return true
-		}
-		for _, e := range g.over[key] {
-			if g.refEqual(e, f, now, w) {
-				return true
-			}
+			return true, true
 		}
 	}
-	return false
+	return false, true
 }
 
 func (g *dedupGen) refEqual(e dedupRef, f wire.Frame, now simtime.Real, w simtime.Duration) bool {
@@ -108,12 +114,13 @@ func (g *dedupGen) refEqual(e dedupRef, f wire.Frame, now simtime.Real, w simtim
 	return e.from == f.From && e.sent == f.Sent && bytes.Equal(g.arena[e.off:e.end], f.Payload)
 }
 
-// insert records an accepted frame in this generation.
-func (g *dedupGen) insert(key uint64, f wire.Frame, now simtime.Real) {
+// insert records an accepted frame in this generation; taken is match's
+// report for the same key.
+func (g *dedupGen) insert(key uint64, f wire.Frame, now simtime.Real, taken bool) {
 	off := uint64(len(g.arena))
 	g.arena = append(g.arena, f.Payload...)
 	e := dedupRef{from: f.From, sent: f.Sent, at: now, off: off, end: uint64(len(g.arena))}
-	if _, taken := g.tab[key]; taken {
+	if taken {
 		if g.over == nil {
 			g.over = make(map[uint64][]dedupRef)
 		}
@@ -130,7 +137,7 @@ func (d *dedup) seen(f wire.Frame, now simtime.Real) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.started {
-		d.cur.init()
+		d.cur.init(0, 0)
 		d.curStart = now
 		d.started = true
 	} else if now-d.curStart > simtime.Real(d.window) {
@@ -138,16 +145,23 @@ func (d *dedup) seen(f wire.Frame, now simtime.Real) bool {
 		// the window and can never match again — recycle it wholesale.
 		d.prev, d.cur = d.cur, d.prev
 		if d.cur.tab == nil {
-			d.cur.init()
+			// The second generation is born at the first rotation, sized to
+			// the window that just closed: the traffic of the next window
+			// fills it without regrowing from 64 entries.
+			d.cur.init(len(d.prev.tab), len(d.prev.arena))
 		} else {
 			d.cur.reset()
 		}
 		d.curStart = now
 	}
-	if d.cur.match(key, f, now, d.window) || d.prev.match(key, f, now, d.window) {
+	dup, taken := d.cur.match(key, f, now, d.window)
+	if dup {
 		return true
 	}
-	d.cur.insert(key, f, now)
+	if dup, _ := d.prev.match(key, f, now, d.window); dup {
+		return true
+	}
+	d.cur.insert(key, f, now, taken)
 	return false
 }
 

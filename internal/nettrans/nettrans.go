@@ -33,6 +33,7 @@ package nettrans
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -274,6 +275,14 @@ type NetNode struct {
 	// dedup is the receive-side duplicate-suppression window (the defense
 	// against datagram duplication and fresh replay).
 	dedup dedup
+
+	// inFree holds the recycled inbound batches (see inbound) and
+	// inFreeMsgs the message slots their slices hold; inMu guards both,
+	// because receive goroutines take batches while the event loop
+	// returns them.
+	inMu       sync.Mutex
+	inFree     []*inbound
+	inFreeMsgs int
 
 	sent, received                                        atomic.Int64
 	lateDrops, authDrops, epochDrops, chaosDrops, decDrop atomic.Int64
@@ -727,6 +736,75 @@ func (nn *NetNode) expectedEpoch(from protocol.NodeID) uint64 {
 
 // ---- receive path (shared by both transports) ----
 
+// inbound is one mailbox event's worth of admitted messages. A receive
+// goroutine takes a batch from the node's free list, fills msgs and
+// enqueues deliver, a func value built once with the batch, so neither
+// the slice nor the event allocates. The event loop owns the batch from
+// the enqueue on: deliver passes each message to the node by value and
+// only then returns the batch to the free list, so no receive goroutine
+// writes msgs while the loop still reads it (TestInboundRecycleRace).
+type inbound struct {
+	nn      *NetNode
+	msgs    []protocol.Message
+	deliver func()
+}
+
+// maxFreeMsgs bounds the message slots a node's free list of inbound
+// batches keeps (64 bytes each, 256 KiB): a burst that queues more than
+// this leaves the excess to the collector rather than pinning it for the
+// node's lifetime. It holds hundreds of the ~9-frame batches a live
+// agreement's containers fill, or eight full 512-frame containers.
+const maxFreeMsgs = 4096
+
+func (in *inbound) run() {
+	for _, m := range in.msgs {
+		in.nn.node.OnMessage(m.From, m)
+	}
+	in.nn.putInbound(in)
+}
+
+// getInbound takes an empty batch from the free list, or makes one, with
+// room for n messages.
+func (nn *NetNode) getInbound(n int) *inbound {
+	var in *inbound
+	nn.inMu.Lock()
+	if k := len(nn.inFree); k > 0 {
+		in = nn.inFree[k-1]
+		nn.inFree = nn.inFree[:k-1]
+		nn.inFreeMsgs -= cap(in.msgs)
+	}
+	nn.inMu.Unlock()
+	if in == nil {
+		in = &inbound{nn: nn}
+		in.deliver = in.run
+	}
+	in.msgs = slices.Grow(in.msgs, n)
+	return in
+}
+
+// putInbound empties a batch and returns it to the free list.
+func (nn *NetNode) putInbound(in *inbound) {
+	clear(in.msgs) // drop the value strings
+	in.msgs = in.msgs[:0]
+	nn.inMu.Lock()
+	if nn.inFreeMsgs+cap(in.msgs) <= maxFreeMsgs {
+		nn.inFree = append(nn.inFree, in)
+		nn.inFreeMsgs += cap(in.msgs)
+	}
+	nn.inMu.Unlock()
+}
+
+// enqueue hands a filled batch to the event loop in one mailbox event
+// and counts its messages received; a closed mailbox recycles it.
+func (nn *NetNode) enqueue(in *inbound) {
+	n := int64(len(in.msgs)) // read first: once enqueued, in belongs to the loop
+	if nn.mbox.Enqueue(in.deliver) {
+		nn.received.Add(n)
+		return
+	}
+	nn.putInbound(in)
+}
+
 // admitFrame runs the acceptance pipeline on one decoded frame: epoch
 // check, sender authentication (authOK is the transport's source check
 // for the claimed id), the d deadline on UDP, duplicate suppression,
@@ -735,8 +813,10 @@ func (nn *NetNode) expectedEpoch(from protocol.NodeID) uint64 {
 // here, per frame — a batch container is just packaging, so its inner
 // frames are admitted one by one exactly as if each had its own
 // datagram. A batch nested inside a batch has no business on the data
-// path and is discarded as a decode drop.
-func (nn *NetNode) admitFrame(f wire.Frame, authOK bool, now simtime.Real) (protocol.Message, bool) {
+// path and is discarded as a decode drop. vals is the calling receive
+// goroutine's own value cache (nil decodes without one); the decoded
+// value is a fresh string, never a view of the frame's bytes.
+func (nn *NetNode) admitFrame(f wire.Frame, authOK bool, now simtime.Real, vals *wire.Values) (protocol.Message, bool) {
 	if f.Epoch != nn.expectedEpoch(f.From) {
 		nn.epochDrops.Add(1)
 		return protocol.Message{}, false
@@ -770,7 +850,7 @@ func (nn *NetNode) admitFrame(f wire.Frame, authOK bool, now simtime.Real) (prot
 		nn.chaosDrops.Add(1)
 		return protocol.Message{}, false
 	}
-	m, _, err := wire.DecodeMessage(f.Payload)
+	m, _, err := vals.DecodeMessage(f.Payload)
 	if err != nil {
 		nn.decDrop.Add(1)
 		return protocol.Message{}, false
@@ -781,15 +861,14 @@ func (nn *NetNode) admitFrame(f wire.Frame, authOK bool, now simtime.Real) (prot
 
 // handleFrame admits one frame and delivers it. It is called from
 // receive-loop goroutines; delivery is serialized by the mailbox.
-func (nn *NetNode) handleFrame(f wire.Frame, authOK bool) {
-	m, ok := nn.admitFrame(f, authOK, nn.nowTicks())
+func (nn *NetNode) handleFrame(f wire.Frame, authOK bool, vals *wire.Values) {
+	m, ok := nn.admitFrame(f, authOK, nn.nowTicks(), vals)
 	if !ok {
 		return
 	}
-	from := m.From
-	if nn.mbox.Enqueue(func() { nn.node.OnMessage(from, m) }) {
-		nn.received.Add(1)
-	}
+	in := nn.getInbound(1)
+	in.msgs = append(in.msgs, m)
+	nn.enqueue(in)
 }
 
 // handleBatch unpacks a batch container and admits every inner frame
@@ -800,7 +879,11 @@ func (nn *NetNode) handleFrame(f wire.Frame, authOK bool) {
 // that lets the event loop keep up with a coalesced wire. A broken
 // container framing (bad count or length prefix) costs one decode drop
 // for the unreadable remainder; frames yielded before the break stand.
-func (nn *NetNode) handleBatch(f wire.Frame, auth func(protocol.NodeID) bool) {
+// auth answers "could this claimed sender have produced this datagram"
+// (for UDP the source-address check, for TCP the session identity) and
+// is consulted per inner frame, because a batch carries one envelope
+// but every inner frame restates its sender.
+func (nn *NetNode) handleBatch(f wire.Frame, auth func(protocol.NodeID) bool, vals *wire.Values) {
 	if f.Epoch != nn.expectedEpoch(f.From) {
 		nn.epochDrops.Add(1)
 		return
@@ -810,7 +893,7 @@ func (nn *NetNode) handleBatch(f wire.Frame, auth func(protocol.NodeID) bool) {
 		nn.decDrop.Add(1)
 		return
 	}
-	msgs := make([]protocol.Message, 0, wire.MaxBatchFrames/8)
+	var in *inbound // taken at the first admitted frame
 	// One clock read admits the whole container: every inner frame shares
 	// the batch's arrival instant (virtual deliveries of one cascade all
 	// happen at the same fake-clock tick, so each inner frame meets the
@@ -826,35 +909,17 @@ func (nn *NetNode) handleBatch(f wire.Frame, auth func(protocol.NodeID) bool) {
 			nn.decDrop.Add(1)
 			continue
 		}
-		if m, admit := nn.admitFrame(inner, auth(inner.From), now); admit {
-			msgs = append(msgs, m)
+		if m, admit := nn.admitFrame(inner, auth(inner.From), now, vals); admit {
+			if in == nil {
+				in = nn.getInbound(r.Remaining() + 1) // sized to the frames left
+			}
+			in.msgs = append(in.msgs, m)
 		}
 	}
 	if r.Err() != nil {
 		nn.decDrop.Add(1)
 	}
-	if len(msgs) == 0 {
-		return
+	if in != nil {
+		nn.enqueue(in)
 	}
-	if nn.mbox.Enqueue(func() {
-		for _, m := range msgs {
-			nn.node.OnMessage(m.From, m)
-		}
-	}) {
-		nn.received.Add(int64(len(msgs)))
-	}
-}
-
-// handleDatagram dispatches one decoded top-level frame from the wire:
-// batch containers fan out through handleBatch, everything else is a
-// single frame. auth answers "could this claimed sender have produced
-// this datagram" — for UDP the source-address check, for TCP the session
-// identity — and is consulted per inner frame, because a batch carries
-// one envelope but every inner frame restates its sender.
-func (nn *NetNode) handleDatagram(f wire.Frame, auth func(protocol.NodeID) bool) {
-	if f.Kind == wire.FrameBatch {
-		nn.handleBatch(f, auth)
-		return
-	}
-	nn.handleFrame(f, auth(f.From))
 }

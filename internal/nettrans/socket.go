@@ -18,17 +18,18 @@ import (
 // sender authentication, kernel-level loss allowed) and the TCP stream
 // transport (self-delimiting frames on long-lived per-peer connections,
 // hello-based authentication, lossless). Both feed decoded frames into
-// NetNode.handleDatagram; everything protocol-visible is identical.
+// NetNode.handleFrame and handleBatch; everything protocol-visible is
+// identical.
 //
 // The UDP receive side is the other half of the wire-rate hot path
 // (DESIGN.md §11; batch.go is the send half): datagrams are read into
-// pooled buffers
-// (recvmmsg in batches where the platform supports it — see
-// socket_mmsg_linux.go) and handed to per-source ingest shards, so
-// decode, authentication, dedup and chaos accounting run off the socket
-// goroutine while the kernel keeps filling the next buffers. Sharding by
-// source address preserves per-link FIFO order, which the bounded-delay
-// model and the dedup window both assume.
+// the reader's slots (recvmmsg in batches where the platform supports it
+// — see socket_mmsg_linux.go), copied into recycled ingest buffers and
+// handed to per-source ingest shards, so decode, authentication, dedup
+// and chaos accounting run off the socket goroutine while the kernel
+// keeps filling the slots. Sharding by source address preserves per-link
+// FIFO order, which the bounded-delay model and the dedup window both
+// assume.
 
 // Socket is a bound-but-idle listen socket. Binding is split from
 // starting so a cluster can bind every node first (learning ephemeral
@@ -101,22 +102,29 @@ func (s *Socket) Close() {
 // ceiling.
 const recvBufSize = 64 << 10
 
-// ingestBufCap is the starting capacity of a pooled ingest buffer. The
-// reader copies each datagram out of its read slot into one, so only the
+// ingestBufCap is the starting capacity of an ingest buffer. The reader
+// copies each datagram out of its read slot into one, so only the
 // datagram's own bytes travel to the shard worker and the slot is read
-// into again at once. Most datagrams are far smaller; a larger one grows
-// its buffer, which returns to the pool grown.
-const ingestBufCap = 4 << 10
+// into again at once. A live agreement's containers average ~300 bytes;
+// a larger datagram grows its buffer, which returns to the free list
+// grown.
+const ingestBufCap = 1 << 10
+
+// ingestFreeCap bounds the transport's free list of ingest buffers. A
+// live agreement keeps a few dozen datagrams in flight per node; a burst
+// that holds more returns the excess to the collector on the way back.
+const ingestFreeCap = 64
 
 // ingestShardCap bounds the number of ingest shards; more shards than
 // cores just adds context switches.
 const ingestShardCap = 4
 
 // ingestItem is one received datagram in flight from the socket reader
-// to an ingest shard: a pooled copy of its bytes (returned to the pool by
-// the shard worker) and the kernel-reported source.
+// to an ingest shard: a copy of its bytes in an ingest buffer (which the
+// shard worker owns until it returns it to the free list) and the
+// kernel-reported source.
 type ingestItem struct {
-	buf *[]byte
+	buf []byte
 	src netip.AddrPort
 }
 
@@ -129,10 +137,12 @@ type udpTransport struct {
 	conn  *net.UDPConn
 	peers []netip.AddrPort
 
-	// shards are the inbound per-source queues; bufPool recycles the
-	// datagram copies the socket reader fills and the shard workers drain.
-	shards  []chan ingestItem
-	bufPool sync.Pool
+	// shards are the inbound per-source queues; free recycles the ingest
+	// buffers the socket reader fills and the shard workers drain. It is
+	// the transport's own list, not a sync.Pool: a pool is emptied at
+	// every collection and the next burst would refill it by allocating.
+	shards []chan ingestItem
+	free   chan []byte
 
 	// slots are the reader's read slots, recvBufSize each: recvBatch of
 	// them on the mmsg path, one otherwise.
@@ -141,14 +151,12 @@ type udpTransport struct {
 	// mmsg fast path (linux amd64/arm64 only; see socket_mmsg_*.go).
 	mmsgOK   bool
 	rawPeers []rawAddr
+	out      *mmsgSend
 }
 
 func newUDPTransport(nn *NetNode, conn *net.UDPConn, peers []string) (*udpTransport, error) {
-	t := &udpTransport{nn: nn, conn: conn, peers: make([]netip.AddrPort, len(peers))}
-	t.bufPool.New = func() any {
-		b := make([]byte, 0, ingestBufCap)
-		return &b
-	}
+	t := &udpTransport{nn: nn, conn: conn, peers: make([]netip.AddrPort, len(peers)),
+		free: make(chan []byte, ingestFreeCap)}
 	for i, p := range peers {
 		ua, err := net.ResolveUDPAddr("udp", p)
 		if err != nil {
@@ -217,7 +225,7 @@ func (t *udpTransport) sendBatch(dsts []protocol.NodeID, frames [][]byte) {
 func (t *udpTransport) close() { t.conn.Close() }
 
 // recvLoop is the socket reader: it reads into its slot and hands a
-// pooled copy of each datagram to the ingest shards. When the platform
+// copy of each datagram to the ingest shards. When the platform
 // mmsg path is available it drains whole batches of datagrams per
 // syscall instead.
 func (t *udpTransport) recvLoop() {
@@ -235,18 +243,23 @@ func (t *udpTransport) recvLoop() {
 	}
 }
 
-// dispatch copies one datagram into a pooled buffer, so the reader's
-// slot is free on return, and routes it to its source's shard. The
-// mapping is a pure function of the source address, so frames of one
-// link always land on the same shard and per-link FIFO order survives
-// the fan-out;
-// the blocking send is deliberate backpressure (a slow shard fills its
-// queue, then the kernel buffer, then the excess is datagram loss — the
-// failure mode the protocol already tolerates).
+// dispatch copies one datagram into an ingest buffer from the free
+// list, so the reader's slot is free on return, and routes it to its
+// source's shard. The mapping is a pure function of the source address,
+// so frames of one link always land on the same shard and per-link FIFO
+// order survives the fan-out; the blocking send is deliberate
+// backpressure (a slow shard fills its queue, then the kernel buffer,
+// then the excess is datagram loss — the failure mode the protocol
+// already tolerates).
 func (t *udpTransport) dispatch(dg []byte, src netip.AddrPort) {
-	bp := t.bufPool.Get().(*[]byte)
-	*bp = append((*bp)[:0], dg...)
-	t.shards[t.shardOf(src)] <- ingestItem{buf: bp, src: src}
+	var buf []byte
+	select {
+	case buf = <-t.free:
+	default:
+		buf = make([]byte, 0, ingestBufCap)
+	}
+	buf = append(buf[:0], dg...)
+	t.shards[t.shardOf(src)] <- ingestItem{buf: buf, src: src}
 }
 
 func (t *udpTransport) shardOf(src netip.AddrPort) int {
@@ -268,27 +281,32 @@ func (t *udpTransport) closeShards() {
 
 // ingestLoop is one shard worker: decode, authenticate, admit, deliver
 // — everything downstream of the socket read — then recycle the buffer.
-// The dedup window and the message decoder both copy what they keep, so
-// returning the buffer to the pool here cannot leave aliases behind
-// (pinned by TestRecvBufferPoolRace under -race).
+// The dedup window and the message decoder both copy what they keep, and
+// the admitted messages reach the mailbox by value, so returning the
+// buffer to the free list here cannot leave aliases behind (pinned by
+// TestRecvBufferPoolRace under -race). Each worker owns a value cache.
 func (t *udpTransport) ingestLoop(ch chan ingestItem) {
+	var vals wire.Values
 	for it := range ch {
-		t.process(*it.buf, it.src)
-		t.bufPool.Put(it.buf)
+		t.process(it.buf, it.src, &vals)
+		select {
+		case t.free <- it.buf:
+		default: // the list is full: leave the buffer to the collector
+		}
 	}
 }
 
-func (t *udpTransport) process(dg []byte, src netip.AddrPort) {
+func (t *udpTransport) process(dg []byte, src netip.AddrPort, vals *wire.Values) {
 	f, consumed, err := wire.DecodeFrame(dg)
 	if err != nil || consumed != len(dg) {
 		t.nn.decDrop.Add(1)
 		return
 	}
 	if f.Kind == wire.FrameBatch {
-		t.nn.handleBatch(f, func(from protocol.NodeID) bool { return t.authenticate(from, src) })
+		t.nn.handleBatch(f, func(from protocol.NodeID) bool { return t.authenticate(from, src) }, vals)
 		return
 	}
-	t.nn.handleFrame(f, t.authenticate(f.From, src))
+	t.nn.handleFrame(f, t.authenticate(f.From, src), vals)
 }
 
 // authenticate checks the datagram's source address against the claimed
@@ -438,6 +456,7 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		buf       []byte
 		peer      protocol.NodeID = -1
 		haveHello                 = false
+		vals      wire.Values
 	)
 	remoteIP := func() net.IP {
 		if a, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
@@ -468,16 +487,16 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 					}
 					peer = f.From
 					haveHello = true
-					t.nn.handleFrame(f, true)
+					t.nn.handleFrame(f, true, &vals)
 					continue
 				}
 				if f.Kind == wire.FrameBatch {
 					// Stream transport, same container: inner frames are
 					// authenticated against the session identity individually.
-					t.nn.handleBatch(f, func(from protocol.NodeID) bool { return from == peer })
+					t.nn.handleBatch(f, func(from protocol.NodeID) bool { return from == peer }, &vals)
 					continue
 				}
-				t.nn.handleFrame(f, f.From == peer)
+				t.nn.handleFrame(f, f.From == peer, &vals)
 			}
 		}
 		if err != nil {

@@ -48,12 +48,37 @@ const (
 	recvBatch = 32
 )
 
+// mmsgSend is the sendmmsg call state. Only the coalescer's flush, on
+// the event loop, sends through it, so one instance per transport is
+// enough: the vectors, the raw connection and the syscall callback are
+// built once, and a flush allocates nothing.
+type mmsgSend struct {
+	rc   syscall.RawConn
+	hdrs [sendChunk]mmsghdr
+	iovs [sendChunk]syscall.Iovec
+	// One call covers hdrs[head:end]; it reports n sent and errno.
+	head, end int
+	n         uintptr
+	errno     syscall.Errno
+	call      func(fd uintptr) bool // s.sendmmsg, bound once
+}
+
+func (s *mmsgSend) sendmmsg(fd uintptr) bool {
+	s.n, _, s.errno = syscall.Syscall6(sysSENDMMSG, fd,
+		uintptr(unsafe.Pointer(&s.hdrs[s.head])), uintptr(s.end-s.head), 0, 0, 0)
+	return s.errno != syscall.EAGAIN
+}
+
 // initMMsg decides whether the fast path applies and precomputes the
 // peer sockaddrs.
 func (t *udpTransport) initMMsg() {
 	la, ok := t.conn.LocalAddr().(*net.UDPAddr)
 	if !ok || la.IP.To4() == nil {
 		return // AF_INET6 socket: sockaddr_in names would be rejected
+	}
+	rc, err := t.conn.SyscallConn()
+	if err != nil {
+		return
 	}
 	t.rawPeers = make([]rawAddr, len(t.peers))
 	for i, ap := range t.peers {
@@ -67,6 +92,8 @@ func (t *udpTransport) initMMsg() {
 		sa.Port = uint16(p>>8) | uint16(p&0xff)<<8 // host → network byte order
 		t.rawPeers[i].sa = sa
 	}
+	t.out = &mmsgSend{rc: rc}
+	t.out.call = t.out.sendmmsg
 	t.mmsgOK = true
 }
 
@@ -74,17 +101,7 @@ func (t *udpTransport) initMMsg() {
 // calls as possible. Fire-and-forget like send: a refused or failed
 // datagram is skipped, not retried — datagram loss is in the model.
 func (t *udpTransport) sendMMsg(dsts []protocol.NodeID, frames [][]byte) {
-	rc, err := t.conn.SyscallConn()
-	if err != nil {
-		for i, to := range dsts {
-			t.send(to, frames[i])
-		}
-		return
-	}
-	var (
-		hdrs [sendChunk]mmsghdr
-		iovs [sendChunk]syscall.Iovec
-	)
+	s := t.out
 	for off := 0; off < len(dsts); off += sendChunk {
 		m := len(dsts) - off
 		if m > sendChunk {
@@ -92,34 +109,27 @@ func (t *udpTransport) sendMMsg(dsts []protocol.NodeID, frames [][]byte) {
 		}
 		for i := 0; i < m; i++ {
 			fr := frames[off+i]
-			iovs[i].Base = &fr[0]
-			iovs[i].Len = uint64(len(fr))
+			s.iovs[i].Base = &fr[0]
+			s.iovs[i].Len = uint64(len(fr))
 			sa := &t.rawPeers[dsts[off+i]].sa
-			hdrs[i] = mmsghdr{}
-			hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(sa))
-			hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(*sa))
-			hdrs[i].hdr.Iov = &iovs[i]
-			hdrs[i].hdr.Iovlen = 1
+			s.hdrs[i] = mmsghdr{}
+			s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(sa))
+			s.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(*sa))
+			s.hdrs[i].hdr.Iov = &s.iovs[i]
+			s.hdrs[i].hdr.Iovlen = 1
 		}
-		sent := 0
-		for sent < m {
-			var n uintptr
-			var errno syscall.Errno
-			werr := rc.Write(func(fd uintptr) bool {
-				n, _, errno = syscall.Syscall6(sysSENDMMSG, fd,
-					uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(m-sent), 0, 0, 0)
-				return errno != syscall.EAGAIN
-			})
-			if werr != nil {
+		s.head, s.end = 0, m
+		for s.head < m {
+			if s.rc.Write(s.call) != nil {
 				return // socket closed
 			}
 			switch {
-			case errno == syscall.EINTR:
+			case s.errno == syscall.EINTR:
 				// retry
-			case errno != 0:
-				sent++ // the head datagram was refused (async ICMP etc.): drop it
+			case s.errno != 0:
+				s.head++ // the head datagram was refused (async ICMP etc.): drop it
 			default:
-				sent += int(n)
+				s.head += int(s.n)
 			}
 		}
 	}

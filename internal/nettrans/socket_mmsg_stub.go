@@ -15,8 +15,11 @@ const mmsgEnabled = false
 // reader has one slot.
 const recvBatch = 1
 
-// rawAddr is unused on this platform.
-type rawAddr struct{}
+// rawAddr and mmsgSend are unused on this platform.
+type (
+	rawAddr  struct{}
+	mmsgSend struct{}
+)
 
 func (t *udpTransport) initMMsg() {}
 

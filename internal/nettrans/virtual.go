@@ -1,7 +1,9 @@
 package nettrans
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -101,8 +103,13 @@ type memWire struct {
 	// order; the delay draw hashes it, so a link's delays are independent
 	// of every other link's traffic (and of batching).
 	linkSeq []int64
-	// due buckets frames by delivery tick until the pump collects them.
-	due map[simtime.Real][]wireDelivery
+	// due buckets frames by delivery tick until the pump collects them;
+	// spare holds emptied buckets for reuse, so a steady flood fills
+	// buckets without growing new ones.
+	due   map[simtime.Real][]wireDelivery
+	spare [][]wireDelivery
+	// vals is the pump's value cache; only the pump goroutine uses it.
+	vals wire.Values
 }
 
 // memTransport is one node's endpoint on the wire; it satisfies the
@@ -171,7 +178,12 @@ func (w *memWire) scheduleLocked(from, to protocol.NodeID, bytes []byte) {
 		delay = 1 // a bucket must close strictly before its pump fire
 	}
 	at := simtime.Real(w.clk.Since(w.epoch)/w.tick) + simtime.Real(delay)
-	w.due[at] = append(w.due[at], wireDelivery{from: from, to: to, seq: seq, bytes: bytes})
+	bucket, ok := w.due[at]
+	if !ok && len(w.spare) > 0 {
+		bucket = w.spare[len(w.spare)-1]
+		w.spare = w.spare[:len(w.spare)-1]
+	}
+	w.due[at] = append(bucket, wireDelivery{from: from, to: to, seq: seq, bytes: bytes})
 }
 
 // pump is the wire's single delivery timer body: rearm for the next
@@ -188,15 +200,15 @@ func (w *memWire) pump() {
 	if len(list) == 0 {
 		return
 	}
-	sort.Slice(list, func(i, j int) bool {
-		a, b := list[i], list[j]
+	// (to, from, seq) is unique per frame, so the unstable sort is exact.
+	slices.SortFunc(list, func(a, b wireDelivery) int {
 		if a.to != b.to {
-			return a.to < b.to
+			return cmp.Compare(a.to, b.to)
 		}
 		if a.from != b.from {
-			return a.from < b.from
+			return cmp.Compare(a.from, b.from)
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, d := range list {
 		w.mu.Lock()
@@ -215,11 +227,15 @@ func (w *memWire) pump() {
 		// claimed-sender check still runs inside the acceptance pipeline).
 		if f.Kind == wire.FrameBatch {
 			from := d.from
-			tgt.handleBatch(f, func(id protocol.NodeID) bool { return id == from })
+			tgt.handleBatch(f, func(id protocol.NodeID) bool { return id == from }, &w.vals)
 			continue
 		}
-		tgt.handleFrame(f, f.From == d.from)
+		tgt.handleFrame(f, f.From == d.from, &w.vals)
 	}
+	clear(list) // release the frame bytes before the bucket is reused
+	w.mu.Lock()
+	w.spare = append(w.spare, list[:0])
+	w.mu.Unlock()
 }
 
 // Frames returns a copy of every wire datagram the virtual wire carried

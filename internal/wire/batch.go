@@ -129,6 +129,10 @@ func (r *BatchReader) Next() ([]byte, bool) {
 	return r.b[off : off+int(l)], true
 }
 
+// Remaining returns how many inner frames the container declares beyond
+// those Next has yielded.
+func (r *BatchReader) Remaining() int { return r.remaining }
+
 // Err reports the container-framing error that stopped iteration, if
 // any. Inner-frame *content* errors are not container errors — they
 // surface from DecodeFrame on the yielded bytes and affect only that

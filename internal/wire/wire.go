@@ -167,8 +167,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// readString reads a length-prefixed string at b[off:].
-func readString(b []byte, off int) (string, int, error) {
+// readString reads a length-prefixed string at b[off:], through vals
+// when it is non-nil. The result never aliases b.
+func readString(b []byte, off int, vals *Values) (string, int, error) {
 	l, off, err := uvarint(b, off)
 	if err != nil {
 		return "", off, err
@@ -179,7 +180,40 @@ func readString(b []byte, off int) (string, int, error) {
 	if off+int(l) > len(b) {
 		return "", off, ErrTruncated
 	}
-	return string(b[off : off+int(l)]), off + int(l), nil
+	return vals.intern(b[off : off+int(l)]), off + int(l), nil
+}
+
+// valueSlots is the number of values a Values cache remembers.
+const valueSlots = 64
+
+// Values is a small direct-mapped cache of decoded message values. An
+// agreement carries one value in thousands of messages, so a receiver
+// that decodes through a Values cache allocates that value's string
+// once instead of once per message. A value whose slot holds another
+// value is decoded into a fresh string that takes the slot: an attacker
+// cycling distinct values costs the receiver what plain DecodeMessage
+// costs, never more memory. The zero value is ready to use; a Values is
+// not safe for concurrent use.
+type Values struct {
+	slots [valueSlots]string
+}
+
+// intern returns b as a string, reusing the cached one when it matches.
+// The cached strings are fresh copies, never views of b.
+func (v *Values) intern(b []byte) string {
+	if v == nil || len(b) == 0 {
+		return string(b)
+	}
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime
+	}
+	slot := &v.slots[h%valueSlots]
+	if *slot != string(b) {
+		*slot = string(b)
+	}
+	return *slot
 }
 
 // ---- protocol.Message ----
@@ -201,6 +235,16 @@ func AppendMessage(dst []byte, m protocol.Message) []byte {
 // of bytes consumed. Trailing bytes are not an error (streams concatenate
 // records); truncated or corrupt input is.
 func DecodeMessage(b []byte) (protocol.Message, int, error) {
+	return decodeMessage(b, nil)
+}
+
+// DecodeMessage is wire.DecodeMessage with the value taken through the
+// cache.
+func (v *Values) DecodeMessage(b []byte) (protocol.Message, int, error) {
+	return decodeMessage(b, v)
+}
+
+func decodeMessage(b []byte, vals *Values) (protocol.Message, int, error) {
 	var m protocol.Message
 	var v int64
 	var err error
@@ -230,7 +274,7 @@ func DecodeMessage(b []byte) (protocol.Message, int, error) {
 	}
 	m.From = protocol.NodeID(v)
 	var s string
-	if s, off, err = readString(b, off); err != nil {
+	if s, off, err = readString(b, off, vals); err != nil {
 		return m, off, err
 	}
 	m.M = protocol.Value(s)
@@ -301,7 +345,7 @@ func DecodeTraceEvent(b []byte) (protocol.TraceEvent, int, error) {
 	}
 	ev.P = protocol.NodeID(v)
 	var s string
-	if s, off, err = readString(b, off); err != nil {
+	if s, off, err = readString(b, off, nil); err != nil {
 		return ev, off, err
 	}
 	ev.M = protocol.Value(s)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -264,6 +265,36 @@ func TestAppendIsAllocationFrugal(t *testing.T) {
 		frame = AppendFrame(frame, Frame{Kind: FrameMessage, From: 2, Epoch: 5, Sent: 9, Payload: payload})
 	}); avg != 0 {
 		t.Errorf("AppendFrame allocates %.1f/op with presized buffer, want 0", avg)
+	}
+}
+
+// TestValuesDecodeInternsWithoutAliasing pins the receive-side value
+// cache: a repeated value decodes without allocating, the decoded value
+// stays intact when the input buffer is reused, and values that share a
+// slot still decode exactly.
+func TestValuesDecodeInternsWithoutAliasing(t *testing.T) {
+	var vals Values
+	buf := AppendMessage(nil, protocol.Message{Kind: protocol.Echo, G: 3, M: "steady-state", K: 4})
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, _, err := vals.DecodeMessage(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Values.DecodeMessage of a repeated value allocates %.1f/op, want 0", avg)
+	}
+	m, _, _ := vals.DecodeMessage(buf)
+	for i := range buf {
+		buf[i] = 'x'
+	}
+	if m.M != "steady-state" {
+		t.Fatalf("decoded value changed with its input buffer: %q", m.M)
+	}
+	for i := 0; i < 4*valueSlots; i++ {
+		want := protocol.Value(fmt.Sprintf("v%d", i))
+		got, _, err := vals.DecodeMessage(AppendMessage(nil, protocol.Message{Kind: protocol.Echo, M: want}))
+		if err != nil || got.M != want {
+			t.Fatalf("value %q decoded as %q (%v)", want, got.M, err)
+		}
 	}
 }
 
