@@ -29,13 +29,12 @@
 // and the workload must commit across the roll. The exit status is
 // non-zero if any verdict fails.
 //
-// In-process modes run the campaign on internal/ops.RunCampaign (the
-// same engine as experiment V4); -virtual puts it on a fake clock
-// over the deterministic in-memory wire, where the whole campaign —
-// schedule, traffic, roll, report — is byte-reproducible. -procs spawns
-// one ssbyz-node per committee slot with -ops enabled and orchestrates
-// entirely over the REST API: health polls, initiations, epoch bumps,
-// the replay probe, and the ordered drain.
+// Every mode runs internal/ops.RunCampaign, the engine of experiment
+// V4, under one verdict; only the fleet differs: an in-process cluster
+// over loopback sockets, the same on a fake clock over the
+// deterministic in-memory wire (-virtual, byte-reproducible), or one
+// ssbyz-node process per slot driven over REST (-procs). The report
+// also states the schedule's fault budget against f.
 package main
 
 import (
@@ -91,7 +90,7 @@ func defineFlags(fs *flag.FlagSet) *clusterFlags {
 		entries:   fs.Int("entries", 0, "replicated-log entries the pump commits during the campaign (0 = the spec's default)"),
 		seed:      fs.Int64("seed", 7, "campaign seed: wire delays (virtual) and workload arrivals"),
 		virtual:   fs.Bool("virtual", false, "run under virtual time on a fake clock over the deterministic in-memory wire (in-process only; byte-reproducible)"),
-		procs:     fs.Bool("procs", false, "one ssbyz-node process per slot, orchestrated over the REST ops API (udp only)"),
+		procs:     fs.Bool("procs", false, "one ssbyz-node process per slot, driven through the REST fleet (udp only, one session per daemon)"),
 		nodeBin:   fs.String("node-bin", "", "-procs: path to the ssbyz-node binary (default: sibling of ssbyz-cluster, then PATH)"),
 		jsonOut:   fs.String("json", "", "also write the campaign report as JSON to this file"),
 	}
@@ -105,30 +104,26 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *f.procs {
-		if *f.virtual {
-			return fmt.Errorf("-procs and -virtual are mutually exclusive (processes run on the wall clock)")
-		}
-		return runProcs(f, spec)
-	}
-
-	cfg := ops.CampaignConfig{
-		Spec:      spec,
-		Transport: *f.transport,
-		Tick:      *f.tick,
-	}
+	cfg := ops.CampaignConfig{Spec: spec, Transport: *f.transport, Tick: *f.tick}
 	if *f.virtual {
 		cfg.Clock = clock.NewFake(time.Time{})
 	}
+	if *f.procs {
+		fl, err := ops.NewFleet(*f.nodeBin, spec.Manifest.Params(), *f.transport, *f.tick)
+		if err != nil {
+			return err
+		}
+		if cfg.Fleet, err = ops.NewRESTFleet(fl, spec); err != nil {
+			return err
+		}
+	}
 	rep, err := ops.RunCampaign(cfg)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w\n  fault budget: %s", err, spec.FaultBudget())
 	}
-	printReport(rep, *f.virtual, *f.tick)
+	printReport(rep, spec.FaultBudget(), *f.virtual, *f.tick)
 	if *f.jsonOut != "" {
-		shallow := *rep
-		shallow.Result = nil
-		blob, err := json.MarshalIndent(shallow, "", "  ")
+		blob, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -140,8 +135,9 @@ func run() error {
 }
 
 // loadSpec resolves the campaign spec: the -spec file, or the quick
-// form synthesized from -n/-roll/-d, with -sessions/-entries/-seed
-// overrides applied either way.
+// form synthesized from -n/-roll/-d/-seed, with -sessions/-entries
+// overrides applied either way; it refuses what a -procs fleet cannot
+// run.
 func loadSpec(f *clusterFlags) (ops.ClusterSpec, error) {
 	var spec ops.ClusterSpec
 	if *f.spec != "" {
@@ -162,15 +158,20 @@ func loadSpec(f *clusterFlags) (ops.ClusterSpec, error) {
 	if *f.entries > 0 {
 		spec.Entries = *f.entries
 	}
-	if *f.spec == "" {
-		spec.Seed = *f.seed
+	switch {
+	case *f.procs && *f.virtual:
+		return spec, fmt.Errorf("-procs and -virtual are mutually exclusive (processes run on the wall clock)")
+	case *f.procs && *f.transport != "udp":
+		return spec, fmt.Errorf("-procs needs -transport udp (the replay probe is a raw datagram)")
+	case *f.procs && spec.Sessions > 1:
+		return spec, fmt.Errorf("-procs runs one agreement session per daemon (ssbyz-node runs a single-session node), not %d; drop -procs to run sessions in process", spec.Sessions)
 	}
 	return spec, spec.Validate()
 }
 
 // printReport renders the campaign for a human. Under -virtual every
 // number below is deterministic: two runs print identical bytes.
-func printReport(rep *ops.CampaignReport, virtual bool, tick time.Duration) {
+func printReport(rep *ops.CampaignReport, budget ops.FaultBudget, virtual bool, tick time.Duration) {
 	mode := "wall"
 	if virtual {
 		mode = "virtual"
@@ -195,6 +196,11 @@ func printReport(rep *ops.CampaignReport, virtual bool, tick time.Duration) {
 		fmt.Printf("roll: node %d at tick %d → incarnation %d, re-stabilized in %s, replay rejected by %d/%d peers\n",
 			rr.Node, rr.At, rr.Incarnation, restab, rr.EpochDropPeers, pp.N-1)
 	}
+	for _, w := range budget.Windows {
+		fmt.Printf("budget: %s of node %d non-correct in %s\n", w.Op, w.Node, budget.Span(w.From, w.To))
+	}
+	fmt.Printf("budget: %s\n", budget)
+	fmt.Printf("ig3 back-offs waited out at General 0: %d\n", rep.Backoffs)
 	health := make([]string, len(rep.Health))
 	for i, st := range rep.Health {
 		health[i] = fmt.Sprintf("%d:%s", i, st)
@@ -215,7 +221,8 @@ func printReport(rep *ops.CampaignReport, virtual bool, tick time.Duration) {
 // judgeReport turns the report into the exit verdict: every scale and
 // roll step of the spec executed, workload committed, every roll within
 // Δstb with the replay rejected everywhere, final fleet health
-// stabilized.
+// stabilized. A failed verdict names the schedule's fault budget, so a
+// schedule outside the model says so.
 func judgeReport(spec ops.ClusterSpec, rep *ops.CampaignReport) error {
 	var errs []string
 	var scales, rolls int
@@ -251,6 +258,7 @@ func judgeReport(spec ops.ClusterSpec, rep *ops.CampaignReport) error {
 		}
 	}
 	if len(errs) > 0 {
+		errs = append(errs, "fault budget: "+spec.FaultBudget().String())
 		return fmt.Errorf("campaign verdicts failed:\n  %s", strings.Join(errs, "\n  "))
 	}
 	fmt.Println("campaign verdicts: all passed")

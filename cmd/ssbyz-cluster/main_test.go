@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -36,5 +37,26 @@ func TestJudgeReportCountsMembershipSteps(t *testing.T) {
 	noScale.Scales = nil
 	if err := judgeReport(spec, &noScale); err == nil {
 		t.Fatal("campaign whose scale never ran passed")
+	}
+}
+
+// TestProcsRefusesSessions: the daemons run one session each, so -procs
+// with -sessions > 1 is refused up front rather than run as one session.
+func TestProcsRefusesSessions(t *testing.T) {
+	fs := flag.NewFlagSet("ssbyz-cluster", flag.ContinueOnError)
+	f := defineFlags(fs)
+	if err := fs.Parse([]string{"-procs", "-sessions", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := loadSpec(f)
+	if err == nil || !strings.Contains(err.Error(), "-procs runs one agreement session per daemon") {
+		t.Fatalf("-procs -sessions 4: %v, want a refusal", err)
+	}
+	if err := fs.Parse([]string{"-sessions", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	*f.procs = false
+	if _, err := loadSpec(f); err != nil {
+		t.Fatalf("in-process -sessions 4 refused: %v", err)
 	}
 }

@@ -2,11 +2,13 @@ package ops
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"ssbyz/internal/clock"
+	"ssbyz/internal/core"
 	"ssbyz/internal/indexed"
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
@@ -16,13 +18,12 @@ import (
 	"ssbyz/internal/wire"
 )
 
-// CampaignConfig runs a ClusterSpec as an in-process campaign: an
-// n-node nettrans cluster (loopback sockets on the wall path, the
-// deterministic in-memory wire under a *clock.Fake), the service pump
+// CampaignConfig runs a ClusterSpec as a campaign: the service pump
 // committing replicated-log entries at General 0 throughout, and the
-// spec's membership schedule executed at quiescent points. The virtual
-// form is experiment V4; the wall form over real UDP is
-// `ssbyz-cluster -n 4 -roll 2`.
+// spec's membership schedule executed at quiescent points, on an
+// in-process nettrans cluster (loopback sockets on the wall path, the
+// deterministic in-memory wire under a *clock.Fake) unless Fleet is set.
+// The virtual form is experiment V4.
 type CampaignConfig struct {
 	Spec      ClusterSpec
 	Transport string        // nettrans.TransportUDP (default) or TCP
@@ -30,6 +31,29 @@ type CampaignConfig struct {
 	// Clock switches to deterministic virtual time when it is a
 	// *clock.Fake (nil = wall clock).
 	Clock clock.Clock
+	// Fleet, when set, is the booted fleet to drive instead of an
+	// in-process cluster (NewRESTFleet); RunCampaign closes it. It ticks
+	// at Tick, on Clock when that is a *clock.Fake.
+	Fleet CampaignFleet
+}
+
+// CampaignFleet is what a campaign drives, from one goroutine: the
+// in-process cluster on either clock, or daemons over REST. Its
+// Initiate (service.Backend) returns IG1/IG3 refusals as core.ErrTooSoon
+// and core.ErrBackoff, for the pump to re-poll. Roll stops a running
+// slot, raises its incarnation on every running peer, reboots it, and
+// offers each peer one frame from the old incarnation (the replay
+// probe); it returns the new incarnation.
+type CampaignFleet interface {
+	service.Backend
+	Now() simtime.Real                                // fleet clock, ticks since the epoch
+	Running() []protocol.NodeID                       // running slots, ascending
+	Start(id protocol.NodeID) error                   // boot a slot held back (scale-up)
+	Roll(id protocol.NodeID) (uint64, error)          // replace a running slot
+	Stats(id protocol.NodeID) (nettrans.Stats, error) // one running slot's counters
+	Recorder() *protocol.Recorder                     // the trace, as far as Sync collected it
+	Sync() error                                      // collect every running slot's new trace
+	Close() error                                     // stop every slot; the drain verdict
 }
 
 // ScaleReport is one executed scale-up step.
@@ -59,8 +83,11 @@ type CampaignReport struct {
 	Committed int // replicated-log entries committed at General 0
 	Failed    int
 	Dropped   int
-	Scales    []ScaleReport
-	Rolls     []RollReport
+	// Backoffs counts the IG3 back-off episodes the pump waited out at
+	// General 0 (backoffCounter): a finding, not a verdict.
+	Backoffs int
+	Scales   []ScaleReport
+	Rolls    []RollReport
 	// Health is every slot's final health state, indexed by node id,
 	// derived by replaying the canonical (sorted) trace through each
 	// node's Control — deterministic under virtual time.
@@ -70,89 +97,112 @@ type CampaignReport struct {
 	Stats       nettrans.Stats
 	Horizon     int64 // the campaign's extent in ticks
 	// Result is the shaped trace, for callers that want the battery.
-	Result *sim.Result
+	Result *sim.Result `json:"-"`
 }
 
-// clusterBackend adapts one cluster slot to the NodeBackend surface for
-// the end-of-run health replay.
-type clusterBackend struct {
-	c  *nettrans.Cluster
-	id protocol.NodeID
+// clusterFleet is the in-process CampaignFleet over a nettrans.Cluster.
+type clusterFleet struct{ service.ClusterBackend }
+
+// Between steps no slot is down, so the correct slots are the running ones.
+func (f clusterFleet) Running() []protocol.NodeID     { return f.C.Correct() }
+func (f clusterFleet) Now() simtime.Real              { return f.C.NowTicks() }
+func (f clusterFleet) Start(id protocol.NodeID) error { return f.C.StartNode(id) }
+func (f clusterFleet) Stats(id protocol.NodeID) (nettrans.Stats, error) {
+	return f.C.NodeStats(id), nil
+}
+func (f clusterFleet) Recorder() *protocol.Recorder { return f.C.Recorder() }
+func (f clusterFleet) Sync() error                  { return nil } // the recorder is shared
+func (f clusterFleet) Close() error                 { f.C.Stop(); return nil }
+
+func (f clusterFleet) Roll(id protocol.NodeID) (uint64, error) {
+	oldInc := f.C.Incarnations()[id]
+	inc, err := f.C.RollNode(id)
+	if err != nil {
+		return 0, err
+	}
+	probe := ReplayProbe(f.C.WireEpochID(oldInc), id, int64(f.C.NowTicks()))
+	for _, peer := range f.Running() {
+		if peer != id {
+			if err := f.C.InjectFrame(id, peer, probe); err != nil {
+				return 0, fmt.Errorf("replay probe to %d: %w", peer, err)
+			}
+		}
+	}
+	return inc, nil
 }
 
-func (b *clusterBackend) ID() protocol.NodeID     { return b.id }
-func (b *clusterBackend) Params() protocol.Params { return b.c.Params() }
-func (b *clusterBackend) NowTicks() simtime.Real  { return b.c.NowTicks() }
-func (b *clusterBackend) Stats() nettrans.Stats   { return b.c.NodeStats(b.id) }
-func (b *clusterBackend) Incarnation() uint64     { return b.c.Incarnations()[b.id] }
-func (b *clusterBackend) BumpPeerEpoch(peer protocol.NodeID, inc uint64) error {
-	return b.c.BumpPeerEpoch(peer, inc)
-}
-func (b *clusterBackend) Initiate(slot int, v protocol.Value) error {
-	_, _, err := b.c.Initiate(b.id, slot, v)
-	return err
-}
-func (b *clusterBackend) InjectFault(seed int64, severityPermille, inFlight int) error {
-	return fmt.Errorf("ops: campaign backends do not inject faults")
-}
-func (b *clusterBackend) TraceEvents() []protocol.TraceEvent {
-	return b.c.Recorder().Filter(func(ev protocol.TraceEvent) bool { return ev.Node == b.id })
+// backoffCounter wraps the campaign's Backend (one General, node 0)
+// and counts IG3 back-off episodes: the first core.ErrBackoff after an
+// accepted initiation opens one.
+type backoffCounter struct {
+	service.Backend
+	armed    bool
+	episodes int
 }
 
-// pendingRoll tracks one executed roll until its verdicts land.
-type pendingRoll struct {
-	report     *RollReport
-	rollTick   simtime.Real
-	dropsAt    map[protocol.NodeID]int64 // EpochDrops per peer before the probe
-	restabbed  bool
-	probeJudge bool
+func (b *backoffCounter) Initiate(g protocol.NodeID, slots []int, v protocol.Value) (int, protocol.Value, error) {
+	slot, wire, err := b.Backend.Initiate(g, slots, v)
+	switch {
+	case err == nil:
+		b.armed = true
+	case b.armed && errors.Is(err, core.ErrBackoff):
+		b.armed = false
+		b.episodes++
+	}
+	return slot, wire, err
 }
 
 // RunCampaign executes the spec end to end and reports. An error means
-// the campaign could not run or timed out; protocol-level verdicts
-// (re-stabilization, replay rejection) are in the report for the caller
-// to judge.
+// the campaign could not run, timed out, or its fleet did not drain
+// cleanly; protocol-level verdicts (re-stabilization, replay rejection)
+// are in the report for the caller to judge.
 func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
 	spec := cfg.Spec
-	if err := spec.Validate(); err != nil {
-		return nil, err
+	if cfg.Tick <= 0 {
+		cfg.Tick = 100 * time.Microsecond
 	}
+	fleet := cfg.Fleet
+	if fleet == nil {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		ccfg := nettrans.ClusterConfig{
+			Params:    spec.Manifest.Params(),
+			Tick:      cfg.Tick,
+			Transport: cfg.Transport,
+			Clock:     cfg.Clock,
+			Seed:      spec.Seed,
+			Absent:    spec.ScaleTargets(),
+		}
+		if spec.Sessions > 1 {
+			ccfg.NewNode = func() protocol.Node { return indexed.NewNode(spec.Sessions) }
+		}
+		c, err := nettrans.NewCluster(ccfg)
+		if err != nil {
+			return nil, err
+		}
+		fleet = clusterFleet{service.ClusterBackend{C: c}}
+	}
+	report, err := runCampaign(cfg, fleet)
+	if cerr := fleet.Close(); cerr != nil && err == nil {
+		report, err = nil, fmt.Errorf("ops: fleet drain: %w", cerr)
+	}
+	return report, err
+}
+
+func runCampaign(cfg CampaignConfig, fleet CampaignFleet) (*CampaignReport, error) {
+	spec := cfg.Spec
 	pp := spec.Manifest.Params()
-	tick := cfg.Tick
-	if tick <= 0 {
-		tick = 100 * time.Microsecond
-	}
-	sessions := spec.Sessions
-	if sessions < 1 {
-		sessions = 1
-	}
 	entries := spec.Entries
 	if entries <= 0 {
 		entries = 8
 	}
-
-	ccfg := nettrans.ClusterConfig{
-		Params:    pp,
-		Tick:      tick,
-		Transport: cfg.Transport,
-		Clock:     cfg.Clock,
-		Seed:      spec.Seed,
-		Absent:    spec.ScaleTargets(),
-	}
-	if sessions > 1 {
-		ccfg.NewNode = func() protocol.Node { return indexed.NewNode(sessions) }
-	}
-	c, err := nettrans.NewCluster(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Stop()
-
+	backend := &backoffCounter{Backend: fleet}
 	pump := service.NewPump(service.PumpConfig{
 		Params:   pp,
-		Backend:  service.ClusterBackend{C: c},
-		Recorder: c.Recorder(),
-		Sessions: sessions,
+		Backend:  backend,
+		Recorder: fleet.Recorder(),
+		Sessions: spec.Sessions,
 		// The campaign judges the roll under a fully committed workload, so
 		// nothing sheds: the queue holds the whole arrival schedule.
 		QueueLimit: entries,
@@ -164,66 +214,56 @@ func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
 
 	report := &CampaignReport{Params: pp, EventCounts: make(map[string]int)}
 	steps := append([]Step(nil), spec.Steps...)
-	var pending []*pendingRoll
-	drained := false
+	var drops []map[protocol.NodeID]int64 // per roll: EpochDrops before the probe, per peer yet to reject it
 
 	// The budget: the whole schedule, plus Δstb for the last roll to
 	// re-stabilize, plus agreement time for the tail of the workload.
-	var lastAt int64
-	for _, st := range steps {
-		if st.At > lastAt {
-			lastAt = st.At
+	// Steps ascend by At, so the last one ends the schedule.
+	horizon := pp.DeltaStb() + 2*pp.DeltaAgr() + 40*pp.D
+	if len(steps) > 0 {
+		horizon += simtime.Duration(steps[len(steps)-1].At)
+	}
+	deadline := time.Now().Add(time.Duration(horizon)*cfg.Tick + 60*time.Second)
+	fake, _ := cfg.Clock.(*clock.Fake)
+	wait := func(ticks simtime.Duration) {
+		if fake != nil {
+			fake.Advance(time.Duration(ticks) * cfg.Tick)
+		} else {
+			time.Sleep(time.Duration(ticks) * cfg.Tick)
 		}
 	}
-	horizon := simtime.Duration(lastAt) + pp.DeltaStb() + 2*pp.DeltaAgr() + 40*pp.D
-	fake, _ := cfg.Clock.(*clock.Fake)
-	quarter := time.Duration(pp.D) / 4 * tick
-	deadline := time.Now().Add(time.Duration(horizon)*tick + 60*time.Second)
 
 	execute := func(st Step, now simtime.Real) error {
+		id := protocol.NodeID(st.Node)
 		switch st.Op {
 		case OpScale:
-			if err := c.StartNode(protocol.NodeID(st.Node)); err != nil {
+			if err := fleet.Start(id); err != nil {
 				return fmt.Errorf("ops: scale step: %w", err)
 			}
 			report.Scales = append(report.Scales, ScaleReport{Node: st.Node, At: int64(now)})
 		case OpRoll:
-			id := protocol.NodeID(st.Node)
-			oldInc := c.Incarnations()[id]
-			drops := make(map[protocol.NodeID]int64)
-			for _, peer := range c.Correct() {
+			before := make(map[protocol.NodeID]int64)
+			for _, peer := range fleet.Running() {
 				if peer != id {
-					drops[peer] = c.NodeStats(peer).EpochDrops
+					st, err := fleet.Stats(peer)
+					if err != nil {
+						return fmt.Errorf("ops: roll step: %w", err)
+					}
+					before[peer] = st.EpochDrops
 				}
 			}
-			inc, err := c.RollNode(id)
+			inc, err := fleet.Roll(id)
 			if err != nil {
 				return fmt.Errorf("ops: roll step: %w", err)
 			}
-			// The replay probe: one frame stamped with the node's previous
-			// incarnation, offered to every peer. The acceptance pipeline
-			// must reject it at its first step (EpochDrops).
-			probe := replayProbe(c, id, oldInc, now)
-			for peer := range drops {
-				if err := c.InjectFrame(id, peer, probe); err != nil {
-					return fmt.Errorf("ops: replay probe to %d: %w", peer, err)
-				}
-			}
-			rr := &RollReport{Node: st.Node, At: int64(now), Incarnation: inc, RestabTicks: -1}
-			report.Rolls = append(report.Rolls, *rr)
-			pending = append(pending, &pendingRoll{
-				report:   &report.Rolls[len(report.Rolls)-1],
-				rollTick: now,
-				dropsAt:  drops,
-			})
+			report.Rolls = append(report.Rolls, RollReport{Node: st.Node, At: int64(now), Incarnation: inc, RestabTicks: -1})
+			drops = append(drops, before)
 		}
 		return nil
 	}
 
-	// settle tracks the post-drain flush: decide returns trail the last
-	// commit by up to 2d, and the trace freezes only after them.
 	for {
-		now := c.NowTicks()
+		now := fleet.Now()
 		// Membership steps execute at quiescent points: under virtual time
 		// the fake clock has fully settled between advances, so the
 		// schedule is exact and the campaign deterministic.
@@ -234,57 +274,64 @@ func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
 				return nil, err
 			}
 		}
-		pump.Step(now)
-		judgeRolls(c, pending, pp)
-
-		// The drain gate: schedule exhausted up to the drain, workload
-		// committed, every roll re-stabilized (or its budget blown — the
-		// report carries the verdict either way).
-		if len(steps) > 0 && steps[0].Op == OpDrain && simtime.Real(steps[0].At) <= now &&
-			pump.Idle() && rollsSettled(pending, now, pp) {
-			steps = steps[1:]
-			drained = true
+		if err := fleet.Sync(); err != nil {
+			return nil, err
 		}
-		if drained && len(steps) == 0 {
+		pump.Step(now)
+		settled := judgeRolls(fleet, report.Rolls, drops, now, pp)
+
+		// The drain gate, on the schedule's last step: schedule exhausted
+		// up to the drain, workload committed, every roll re-stabilized (or
+		// its budget blown — the report carries the verdict either way).
+		if len(steps) > 0 && steps[0].Op == OpDrain && simtime.Real(steps[0].At) <= now &&
+			pump.Idle() && settled {
 			break
 		}
 		if simtime.Duration(now) >= horizon {
-			return nil, fmt.Errorf("ops: campaign did not drain within %d ticks (pump idle=%v, %d steps left)",
-				horizon, pump.Idle(), len(steps))
+			return nil, fmt.Errorf("ops: campaign did not drain within %d ticks (pump idle=%v, %d steps left, %d IG3 back-offs)",
+				horizon, pump.Idle(), len(steps), backend.episodes)
 		}
-		if fake != nil {
-			fake.Advance(quarter)
-		} else {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("ops: campaign wall deadline exceeded (%d steps left)", len(steps))
-			}
-			time.Sleep(quarter)
+		if fake == nil && time.Now().After(deadline) {
+			return nil, fmt.Errorf("ops: campaign wall deadline exceeded (%d steps left)", len(steps))
 		}
+		wait(pp.D / 4)
 	}
 	// Flush the decide-return tail before freezing the trace (the
 	// General's own return leads peers by ≤ 2d).
-	if fake != nil {
-		fake.Advance(2 * time.Duration(pp.D) * tick)
-	} else {
-		time.Sleep(2 * time.Duration(pp.D) * tick)
+	wait(2 * pp.D)
+	if err := fleet.Sync(); err != nil {
+		return nil, err
 	}
-	judgeRolls(c, pending, pp)
+	judgeRolls(fleet, report.Rolls, drops, fleet.Now(), pp)
 
-	report.Horizon = int64(c.NowTicks())
-	report.Stats = c.Stats()
+	report.Horizon = int64(fleet.Now())
+	report.Backoffs = backend.episodes
 	for _, lr := range pump.Results() {
 		report.Committed += len(lr.Committed)
 		report.Dropped += lr.Dropped
 		report.Failed += lr.Failed
 	}
-	report.Result = c.Result(simtime.Duration(report.Horizon) + 1)
-	replayHealth(c, report)
+	running := fleet.Running()
+	report.Result = nettrans.BuildResult(pp, fleet.Recorder().Events(), running, simtime.Duration(report.Horizon)+1)
+	frozen := make([]*frozenBackend, pp.N)
+	for i := range frozen {
+		frozen[i] = &frozenBackend{id: protocol.NodeID(i), pp: pp, now: fleet.Now()}
+	}
+	for _, id := range running {
+		st, err := fleet.Stats(id)
+		if err != nil {
+			return nil, err
+		}
+		report.Stats.Add(st)
+		frozen[id].stats = st
+	}
+	replayHealth(report, fleet.Recorder().Events(), frozen)
 	return report, nil
 }
 
 // Canonical renders the report to bytes that must be identical for two
 // runs of the same spec and seed under virtual time: the JSON report
-// (minus the trace pointer) followed by every trace event, sorted
+// followed by every trace event, sorted
 // (RT, node, kind) and wire-encoded. V4's determinism gate compares
 // these byte strings across runs and worker counts.
 func (r *CampaignReport) Canonical() []byte {
@@ -298,9 +345,7 @@ func (r *CampaignReport) Canonical() []byte {
 		}
 		return events[i].Kind < events[j].Kind
 	})
-	shallow := *r
-	shallow.Result = nil
-	blob, err := json.Marshal(shallow)
+	blob, err := json.Marshal(r)
 	if err != nil {
 		blob = []byte(err.Error())
 	}
@@ -310,51 +355,39 @@ func (r *CampaignReport) Canonical() []byte {
 	return blob
 }
 
-// judgeRolls updates pending rolls against the trace and counters:
-// re-stabilization is the first decide by the replacement after the
-// roll (order-insensitive recorder query, so virtual runs stay
-// deterministic), replay rejection is an EpochDrops increase at every
-// probed peer.
-func judgeRolls(c *nettrans.Cluster, pending []*pendingRoll, pp protocol.Params) {
-	for _, pr := range pending {
-		if !pr.restabbed {
+// judgeRolls updates the rolls' verdicts against the trace and
+// counters: re-stabilization is the first decide by the replacement
+// after the roll (order-insensitive recorder query, so virtual runs stay
+// deterministic), replay rejection an EpochDrops rise at each probed
+// peer (a failed scrape reads as not yet). It reports whether every roll
+// has settled: re-stabilized, or out of its Δstb budget (the report then
+// carries the failure).
+func judgeRolls(fleet CampaignFleet, rolls []RollReport, drops []map[protocol.NodeID]int64, now simtime.Real, pp protocol.Params) bool {
+	settled := true
+	for i := range rolls {
+		rr := &rolls[i]
+		if rr.RestabTicks < 0 {
 			first := simtime.Real(-1)
-			c.Recorder().ForEachKind(func(ev protocol.TraceEvent) {
-				if ev.Node == protocol.NodeID(pr.report.Node) && ev.RT >= pr.rollTick &&
+			fleet.Recorder().ForEachKind(func(ev protocol.TraceEvent) {
+				if ev.Node == protocol.NodeID(rr.Node) && ev.RT >= simtime.Real(rr.At) &&
 					(first < 0 || ev.RT < first) {
 					first = ev.RT
 				}
 			}, protocol.EvDecide)
 			if first >= 0 {
-				pr.restabbed = true
-				pr.report.RestabTicks = int64(first - pr.rollTick)
-				pr.report.WithinDeltaStb = simtime.Duration(pr.report.RestabTicks) <= pp.DeltaStb()
+				rr.RestabTicks = int64(first) - rr.At
+				rr.WithinDeltaStb = simtime.Duration(rr.RestabTicks) <= pp.DeltaStb()
 			}
 		}
-		peers := 0
-		for peer, before := range pr.dropsAt {
-			if c.NodeStats(peer).EpochDrops > before {
-				peers++
+		for peer, before := range drops[i] {
+			if st, err := fleet.Stats(peer); err == nil && st.EpochDrops > before {
+				rr.EpochDropPeers++
+				delete(drops[i], peer)
 			}
 		}
-		pr.report.EpochDropPeers = peers
+		settled = settled && (rr.RestabTicks >= 0 || simtime.Duration(int64(now)-rr.At) > pp.DeltaStb())
 	}
-}
-
-// rollsSettled reports whether every roll has either re-stabilized or
-// exhausted its Δstb budget (the report then carries the failure).
-func rollsSettled(pending []*pendingRoll, now simtime.Real, pp protocol.Params) bool {
-	for _, pr := range pending {
-		if !pr.restabbed && simtime.Duration(now-pr.rollTick) <= pp.DeltaStb() {
-			return false
-		}
-	}
-	return true
-}
-
-// replayProbe forges one frame from node id's PREVIOUS incarnation.
-func replayProbe(c *nettrans.Cluster, id protocol.NodeID, oldInc uint64, now simtime.Real) []byte {
-	return ReplayProbe(c.WireEpochID(oldInc), id, int64(now))
+	return settled
 }
 
 // ReplayProbe forges a protocol frame stamped with the given wire epoch
@@ -373,24 +406,41 @@ func ReplayProbe(epochID uint64, from protocol.NodeID, sent int64) []byte {
 	})
 }
 
+// frozenBackend is one slot's end-of-campaign readings: the NodeBackend
+// the health replay's Controls read for the state alone. The replay
+// never initiates, faults, bumps or reads a trace, so the embedded
+// interface stays nil, and the incarnation reads 0.
+type frozenBackend struct {
+	NodeBackend
+	id    protocol.NodeID
+	pp    protocol.Params
+	now   simtime.Real
+	stats nettrans.Stats
+}
+
+func (b *frozenBackend) ID() protocol.NodeID     { return b.id }
+func (b *frozenBackend) Params() protocol.Params { return b.pp }
+func (b *frozenBackend) NowTicks() simtime.Real  { return b.now }
+func (b *frozenBackend) Stats() nettrans.Stats   { return b.stats }
+func (b *frozenBackend) Incarnation() uint64     { return 0 }
+
 // replayHealth replays the campaign's canonical trace through one
 // Control per slot and records the final health states and event
 // tallies. The trace is sorted (RT, then node) first, so the replay —
 // and with it the report — is independent of recorder arrival order.
-func replayHealth(c *nettrans.Cluster, report *CampaignReport) {
-	events := c.Recorder().Events()
+func replayHealth(report *CampaignReport, events []protocol.TraceEvent, backends []*frozenBackend) {
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].RT != events[j].RT {
 			return events[i].RT < events[j].RT
 		}
 		return events[i].Node < events[j].Node
 	})
-	n := report.Params.N
+	n := len(backends)
 	report.Health = make([]State, n)
 	controls := make([]*Control, n)
 	chans := make([]<-chan Event, n)
-	for i := 0; i < n; i++ {
-		controls[i] = NewControl(&clusterBackend{c: c, id: protocol.NodeID(i)})
+	for i, be := range backends {
+		controls[i] = NewControl(be)
 		ch, _ := controls[i].Bus().Subscribe(2*len(events) + 64)
 		chans[i] = ch
 	}

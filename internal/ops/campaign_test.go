@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"ssbyz/internal/clock"
+	"ssbyz/internal/core"
+	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
 )
 
@@ -82,5 +84,70 @@ func TestCampaignDeterministic(t *testing.T) {
 	_, c := runVirtualCampaign(t, 8)
 	if bytes.Equal(a, c) {
 		t.Fatal("different seeds produced identical campaigns — seed is not wired through")
+	}
+}
+
+// TestFaultBudget pins the canonical schedule against the model: at
+// n = 4 (f = 1) the scaled and the rolled node overlap inside Δnode, so
+// two nodes are non-correct at once; at n = 7 (f = 2) that fits.
+func TestFaultBudget(t *testing.T) {
+	four := QuickSpec(4, 2, 250, 7).FaultBudget()
+	if four.Peak != 2 || four.F != 1 || four.PeakFrom != 22*250 || four.PeakTo != 123*250 {
+		t.Fatalf("n=4 budget: %+v", four)
+	}
+	if got, want := four.String(), "2 non-correct nodes in [22d, 123d) against f = 1: schedule outside the model"; got != want {
+		t.Fatalf("n=4 budget reads %q, want %q", got, want)
+	}
+	seven := QuickSpec(7, 2, 250, 7).FaultBudget()
+	if got, want := seven.String(), "2 non-correct nodes in [22d, 171d) against f = 2: schedule inside the model"; got != want {
+		t.Fatalf("n=7 budget reads %q, want %q", got, want)
+	}
+}
+
+// TestCampaignJudgesEveryRoll: two rolls d apart, so the second is
+// appended to the report before the first has re-stabilized; each must
+// still carry its own verdicts.
+func TestCampaignJudgesEveryRoll(t *testing.T) {
+	spec := QuickSpec(7, 2, 250, 7)
+	spec.Steps = []Step{
+		{Op: OpRoll, Node: 2, At: 22 * 250},
+		{Op: OpRoll, Node: 3, At: 23 * 250},
+		{Op: OpDrain, At: 30 * 250},
+	}
+	rep, err := RunCampaign(CampaignConfig{Spec: spec, Clock: clock.NewFake(time.Time{})})
+	if err != nil {
+		t.Fatalf("RunCampaign: %v", err)
+	}
+	for _, rr := range rep.Rolls {
+		if rr.RestabTicks < 0 || !rr.WithinDeltaStb || rr.EpochDropPeers != 6 {
+			t.Fatalf("roll of node %d unjudged: %+v", rr.Node, rr)
+		}
+	}
+	if len(rep.Rolls) != 2 {
+		t.Fatalf("rolls = %+v", rep.Rolls)
+	}
+}
+
+// refusalScript is a Backend that answers each initiation with the next
+// scripted error.
+type refusalScript []error
+
+func (r *refusalScript) Initiate(g protocol.NodeID, slots []int, v protocol.Value) (int, protocol.Value, error) {
+	err := (*r)[0]
+	*r = (*r)[1:]
+	return slots[0], v, err
+}
+
+// TestBackoffCounterCountsEpisodes: a run of IG3 refusals after an
+// accepted initiation is one episode; IG1 refusals and a back-off with
+// no acceptance before it are none.
+func TestBackoffCounterCountsEpisodes(t *testing.T) {
+	script := refusalScript{core.ErrBackoff, nil, core.ErrTooSoon, core.ErrBackoff, core.ErrBackoff, nil, core.ErrBackoff}
+	b := &backoffCounter{Backend: &script}
+	for range len(script) {
+		b.Initiate(0, []int{0}, "v")
+	}
+	if b.episodes != 2 {
+		t.Fatalf("episodes = %d, want 2", b.episodes)
 	}
 }

@@ -1,13 +1,12 @@
 package ops
 
 import (
-	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"ssbyz/internal/protocol"
@@ -15,36 +14,22 @@ import (
 )
 
 // Client is the orchestrator's HTTP side of the control plane: thin
-// typed wrappers over the daemon endpoints. The multi-process drivers
-// (ssbyz-cluster -procs, ssbyz-bench -cluster -procs) reach every
-// daemon through it, via Fleet: to initiate, fault, observe, collect
-// traces, roll, and drain.
+// typed wrappers over the daemon endpoints the multi-process drivers
+// use (ssbyz-cluster -procs through the REST fleet, ssbyz-bench -cluster
+// -procs): initiate, fault, metrics, trace, roll, and drain.
 type Client struct {
 	base string
 	http *http.Client
 }
 
-// NewClient targets one daemon's ops address ("127.0.0.1:7800").
-func NewClient(addr string) *Client {
+// NewClient targets one daemon's ops address ("127.0.0.1:7800") over
+// rt (nil = http.DefaultTransport). An in-memory RoundTripper reaches a
+// Server's handler with no socket at all.
+func NewClient(addr string, rt http.RoundTripper) *Client {
 	return &Client{
 		base: "http://" + addr,
-		http: &http.Client{Timeout: 10 * time.Second},
+		http: &http.Client{Transport: rt, Timeout: 10 * time.Second},
 	}
-}
-
-// Health fetches /healthz. The returned ok reports the HTTP verdict
-// (200 = stabilized); the body is decoded either way.
-func (c *Client) Health() (Health, bool, error) {
-	resp, err := c.http.Get(c.base + "/healthz")
-	if err != nil {
-		return Health{}, false, err
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return Health{}, false, err
-	}
-	return h, resp.StatusCode == http.StatusOK, nil
 }
 
 // Metrics fetches /metrics.
@@ -62,8 +47,12 @@ func (c *Client) Metrics() (Metrics, error) {
 }
 
 // TraceEvents fetches /trace and decodes the node's recorded trace.
-func (c *Client) TraceEvents() ([]protocol.TraceEvent, error) {
-	resp, err := c.http.Get(c.base + "/trace")
+func (c *Client) TraceEvents() ([]protocol.TraceEvent, error) { return c.TraceFrom(0) }
+
+// TraceFrom fetches /trace?from=cursor: the node's trace records past
+// the first cursor ones, so a poller pulls each record once.
+func (c *Client) TraceFrom(cursor int) ([]protocol.TraceEvent, error) {
+	resp, err := c.http.Get(c.base + "/trace?from=" + strconv.Itoa(cursor))
 	if err != nil {
 		return nil, err
 	}
@@ -107,59 +96,6 @@ func (c *Client) BumpEpoch(peer int, incarnation uint64) error {
 func (c *Client) Drain() error { return c.post("/drain", struct{}{}) }
 func (c *Client) Stop() error  { return c.post("/stop", struct{}{}) }
 
-// Events streams /events until ctx is cancelled or the daemon closes
-// the stream (clean EOF on drain), delivering each NDJSON event to fn.
-func (c *Client) Events(ctx context.Context, fn func(Event)) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/events", nil)
-	if err != nil {
-		return err
-	}
-	// Streams outlive the client's request timeout by design.
-	streamer := &http.Client{}
-	resp, err := streamer.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ops: /events: HTTP %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return err
-		}
-		fn(ev)
-	}
-	return sc.Err()
-}
-
-// AwaitStabilized polls /healthz until it reports stabilized or the
-// timeout passes — the orchestrator's roll/Δstb assertion.
-func (c *Client) AwaitStabilized(timeout time.Duration) (Health, error) {
-	deadline := time.Now().Add(timeout)
-	var last Health
-	for {
-		h, ok, err := c.Health()
-		if err == nil {
-			last = h
-			if ok {
-				return h, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return last, fmt.Errorf("ops: not stabilized within %v (last state %q)", timeout, last.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func (c *Client) post(path string, body any) error {
 	blob, err := json.Marshal(body)
 	if err != nil {
@@ -171,12 +107,15 @@ func (c *Client) post(path string, body any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
+		var e errorBody
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		if e.Error == "" {
 			e.Error = resp.Status
+		}
+		// A sending-validity refusal crosses the wire as its core
+		// sentinel, so a pump's IG1/IG3 re-poll works over REST.
+		if sentinel, ok := refusalReasons[e.Reason]; ok {
+			return fmt.Errorf("ops: %s: %w", path, sentinel)
 		}
 		return fmt.Errorf("ops: %s: %s", path, e.Error)
 	}

@@ -2,10 +2,10 @@ package ops
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -21,8 +21,8 @@ const epochLead = 750 * time.Millisecond
 
 // Fleet launches ssbyz-node daemons on loopback from one generated
 // manifest and reaches each over its REST ops plane. It is the one
-// process launcher of the multi-process drivers: ssbyz-cluster -procs
-// and ssbyz-bench -cluster -procs.
+// process launcher of the multi-process drivers: the Launcher behind
+// ssbyz-cluster -procs's REST fleet, and ssbyz-bench -cluster -procs.
 type Fleet struct {
 	nodeBin  string
 	manifest string
@@ -142,7 +142,7 @@ func (fl *Fleet) Spawn(ids ...int) error {
 			return fmt.Errorf("node %d ops address: %w", id, err)
 		}
 		fl.mu.Lock()
-		fl.clients[id] = NewClient(addr)
+		fl.clients[id] = NewClient(addr, nil)
 		fl.mu.Unlock()
 	}
 	return nil
@@ -162,18 +162,6 @@ func (fl *Fleet) Client(id int) *Client {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	return fl.clients[id]
-}
-
-// Running lists the booted slots, ascending.
-func (fl *Fleet) Running() []int {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	out := make([]int, 0, len(fl.procs))
-	for id := range fl.procs {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // WaitExit waits for slot id's process to exit and forgets it; the
@@ -199,11 +187,19 @@ func (fl *Fleet) WaitExit(id int, timeout time.Duration) error {
 	}
 }
 
-// Addr is slot id's protocol (socket) address.
-func (fl *Fleet) Addr(id int) string { return fl.addrs[id] }
-
-// Epoch is the wall instant every daemon reads as tick 0.
-func (fl *Fleet) Epoch() time.Time { return fl.epoch }
+// Probe sends slot from's replay probe, stamped with an old
+// incarnation, to slot to's socket from an anonymous UDP source (the
+// epoch check runs before source authentication).
+func (fl *Fleet) Probe(from, to int, incarnation uint64) error {
+	conn, err := net.Dial("udp", fl.addrs[to])
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	epochID := uint64(fl.epoch.UnixNano()) + incarnation
+	_, err = conn.Write(ReplayProbe(epochID, protocol.NodeID(from), fl.NowTicks()))
+	return err
+}
 
 // NowTicks is the wall clock read in manifest ticks since the epoch.
 func (fl *Fleet) NowTicks() int64 { return int64(time.Since(fl.epoch) / fl.tick) }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 
+	"ssbyz/internal/core"
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/wire"
@@ -38,10 +40,17 @@ type Server struct {
 
 // Serve starts the control plane on ln (which it takes ownership of).
 func Serve(ln net.Listener, ctl *Control) *Server {
+	s := newServer(ctl)
+	s.ln = ln
+	go func() { _ = s.http.Serve(ln) }()
+	return s
+}
+
+// newServer builds the control plane's handler without serving it.
+func newServer(ctl *Control) *Server {
 	s := &Server{
 		ctl:  ctl,
 		be:   ctl.be,
-		ln:   ln,
 		done: make(chan string, 1),
 	}
 	mux := http.NewServeMux()
@@ -55,7 +64,6 @@ func Serve(ln net.Listener, ctl *Control) *Server {
 	mux.HandleFunc("POST /drain", s.handleSignal("drain"))
 	mux.HandleFunc("POST /stop", s.handleSignal("stop"))
 	s.http = &http.Server{Handler: mux}
-	go func() { _ = s.http.Serve(ln) }()
 	return s
 }
 
@@ -118,13 +126,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTrace serves every trace event the node has recorded, as
-// concatenated wire.AppendTraceEvent records. Unlike /events, which
-// drops events at slow subscribers by design, it is the complete trace
-// a property battery can judge.
+// handleTrace serves every trace event the node has recorded (past the
+// first ?from=k, a poller's cursor), as concatenated
+// wire.AppendTraceEvent records. Unlike /events, which drops events at
+// slow subscribers by design, it is the complete trace a property
+// battery can judge.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	events := s.be.TraceEvents()
+	if from, err := strconv.Atoi(r.URL.Query().Get("from")); err == nil && from > 0 {
+		events = events[min(from, len(events)):]
+	}
 	var body []byte
-	for _, ev := range s.be.TraceEvents() {
+	for _, ev := range events {
 		body = wire.AppendTraceEvent(body, ev)
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -223,8 +236,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// errorBody is every error response. Reason names an IG1 or IG3
+// refusal, which the client maps back to its core sentinel so a pump
+// re-polls it over REST as it does in process.
+type errorBody struct {
+	Error  string `json:"error"`
+	Reason string `json:"reason,omitempty"`
+}
+
+var refusalReasons = map[string]error{"ig1": core.ErrTooSoon, "ig3": core.ErrBackoff}
+
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	body := errorBody{Error: err.Error()}
+	for reason, sentinel := range refusalReasons {
+		if errors.Is(err, sentinel) {
+			body.Reason = reason
+		}
+	}
+	writeJSON(w, code, body)
 }
 
 // readJSON decodes the request body into v, answering 400 on failure.

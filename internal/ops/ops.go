@@ -14,8 +14,8 @@
 // fault/drain/stop/bump-epoch — http.go), a health-state machine derived from
 // the node's actual protocol trace and transport counters (this file),
 // and a declarative cluster spec the orchestrator executes as a
-// boot→scale→roll→drain campaign (spec.go, campaign.go), with the
-// process launcher both multi-process drivers share (fleet.go). Everything
+// boot→scale→roll→drain campaign (spec.go, campaign.go) in process or
+// over REST (restfleet.go, with the process launcher of fleet.go). Everything
 // runs identically under the injected virtual clock, which is how the
 // campaign joins the deterministic experiment suite as V4.
 package ops

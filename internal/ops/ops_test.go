@@ -1,21 +1,75 @@
 package ops
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ssbyz/internal/core"
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
 )
+
+// The two read-side wrappers only the tests use: /healthz and /events.
+
+// Health fetches /healthz. The returned ok reports the HTTP verdict
+// (200 = stabilized); the body is decoded either way.
+func (c *Client) Health() (Health, bool, error) {
+	resp, err := c.http.Get(c.base + "/healthz")
+	if err != nil {
+		return Health{}, false, err
+	}
+	defer resp.Body.Close()
+	var h Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		return Health{}, false, err
+	}
+	return h, resp.StatusCode == http.StatusOK, nil
+}
+
+// Events streams /events until ctx is cancelled or the daemon closes
+// the stream (clean EOF on drain), delivering each NDJSON event to fn.
+func (c *Client) Events(ctx context.Context, fn func(Event)) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/events", nil)
+	if err != nil {
+		return err
+	}
+	// Streams outlive the client's request timeout by design.
+	streamer := &http.Client{Transport: c.http.Transport}
+	resp, err := streamer.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("ops: /events: HTTP %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return err
+		}
+		fn(ev)
+	}
+	return sc.Err()
+}
 
 // stubBackend is a scriptable NodeBackend for control-plane tests.
 type stubBackend struct {
@@ -167,7 +221,7 @@ func serveStub(t *testing.T, be *stubBackend) (*Server, *Client) {
 		t.Fatalf("listen: %v", err)
 	}
 	srv := Serve(ln, NewControl(be))
-	return srv, NewClient(srv.Addr())
+	return srv, NewClient(srv.Addr(), nil)
 }
 
 // TestServerEndpoints exercises the REST surface end to end over a real
@@ -227,6 +281,12 @@ func TestServerEndpoints(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("trace = %+v, want %+v", got, want)
 	}
+	// ?from= is a poller's cursor: only the records past it come back.
+	for from, tail := range map[int][]protocol.TraceEvent{2: want[2:], 3: nil, 9: nil} {
+		if got, err := cl.TraceFrom(from); err != nil || !reflect.DeepEqual(got, tail) {
+			t.Fatalf("trace from %d = %+v, %v; want %+v", from, got, err, tail)
+		}
+	}
 
 	if err := cl.Initiate(0, "hello"); err != nil {
 		t.Fatalf("initiate: %v", err)
@@ -237,6 +297,14 @@ func TestServerEndpoints(t *testing.T) {
 	be.set(func(b *stubBackend) { b.initiateErr = errors.New("IG2: too soon") })
 	if err := cl.Initiate(0, "again"); err == nil || !strings.Contains(err.Error(), "IG2") {
 		t.Fatalf("refused initiate error = %v, want IG2 conflict", err)
+	}
+	// IG1 and IG3 cross the wire as their core sentinels, which the
+	// service pump's re-poll matches.
+	for _, sentinel := range []error{core.ErrTooSoon, core.ErrBackoff} {
+		be.set(func(b *stubBackend) { b.initiateErr = fmt.Errorf("slot 0: %w", sentinel) })
+		if err := cl.Initiate(0, "later"); !errors.Is(err, sentinel) {
+			t.Fatalf("refused initiate error = %v, want %v", err, sentinel)
+		}
 	}
 
 	if err := cl.Fault(9, 1000); err != nil {

@@ -3,6 +3,7 @@ package ops
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
@@ -113,6 +114,73 @@ func (s ClusterSpec) ScaleTargets() []protocol.NodeID {
 		}
 	}
 	return out
+}
+
+// Window is one membership step's non-correct interval [From, To) in
+// ticks. A node counts as correct only Δnode after it starts running
+// the protocol; a scaled slot is absent (a crash fault) until its step.
+type Window struct {
+	Op       string
+	Node     int
+	From, To int64
+}
+
+// FaultBudget is a schedule's load on the model, which promises
+// agreement only while at most F nodes are non-correct at once: Peak
+// distinct nodes are, first over [PeakFrom, PeakTo).
+type FaultBudget struct {
+	F, D             int64
+	Windows          []Window
+	Peak             int
+	PeakFrom, PeakTo int64
+}
+
+// FaultBudget computes the schedule's windows and their peak overlap
+// from the spec and its Params alone.
+func (s ClusterSpec) FaultBudget() FaultBudget {
+	pp := s.Manifest.Params()
+	b := FaultBudget{F: int64(pp.F), D: int64(pp.D)}
+	for _, st := range s.Steps {
+		if st.Op == OpScale || st.Op == OpRoll {
+			w := Window{st.Op, st.Node, st.At, st.At + int64(pp.DeltaNode())}
+			if st.Op == OpScale {
+				w.From = 0
+			}
+			b.Windows = append(b.Windows, w)
+		}
+	}
+	// The count changes only at window edges: probe every start, and hold
+	// its count until the first edge after it.
+	for _, w := range b.Windows {
+		nodes := make(map[int]bool)
+		to := int64(math.MaxInt64)
+		for _, o := range b.Windows {
+			if o.From <= w.From && w.From < o.To {
+				nodes[o.Node] = true
+				to = min(to, o.To)
+			} else if o.From > w.From {
+				to = min(to, o.From)
+			}
+		}
+		if len(nodes) > b.Peak || (len(nodes) == b.Peak && w.From < b.PeakFrom) {
+			b.Peak, b.PeakFrom, b.PeakTo = len(nodes), w.From, to
+		}
+	}
+	return b
+}
+
+// Span renders [from, to) in units of d.
+func (b FaultBudget) Span(from, to int64) string {
+	return fmt.Sprintf("[%gd, %gd)", float64(from)/float64(b.D), float64(to)/float64(b.D))
+}
+
+func (b FaultBudget) String() string {
+	verdict := "outside"
+	if int64(b.Peak) <= b.F {
+		verdict = "inside"
+	}
+	return fmt.Sprintf("%d non-correct nodes in %s against f = %d: schedule %s the model",
+		b.Peak, b.Span(b.PeakFrom, b.PeakTo), b.F, verdict)
 }
 
 // ParseSpec decodes and validates a campaign spec.
