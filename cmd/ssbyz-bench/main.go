@@ -232,8 +232,8 @@ func replayScenario(path string) error {
 		fmt.Printf("  frames: sent=%d received=%d\n", s.Sent, s.Received)
 		fmt.Printf("  attacks injected: corrupt=%d replay=%d forge=%d dup=%d reorder-held=%d\n",
 			s.CorruptFrames, s.ReplayFrames, s.ForgeFrames, s.DupFrames, s.ReorderHolds)
-		fmt.Printf("  defenses fired: decode=%d epoch=%d auth=%d late=%d dup=%d clamps=%d rate-deferrals=%d\n",
-			s.DecodeDrops, s.EpochDrops, s.AuthDrops, s.LateDrops, s.DupDrops, s.Clamps, s.RateDeferrals)
+		fmt.Printf("  defenses fired: decode=%d epoch=%d auth=%d late=%d dup=%d seq-stale=%d clamps=%d rate-deferrals=%d\n",
+			s.DecodeDrops, s.EpochDrops, s.AuthDrops, s.LateDrops, s.DupDrops, s.SeqStale, s.Clamps, s.RateDeferrals)
 		for _, rs := range rep.Live.Restab {
 			if rs.Ticks < 0 {
 				fmt.Printf("  fault at t=%d on node %d: NOT re-stabilized within Δstb = %d ticks\n",

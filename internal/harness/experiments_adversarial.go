@@ -344,7 +344,7 @@ func runV3CampaignCell(n, idx int) v3CampCell {
 	s := run.Stats
 	c.sent = s.Sent
 	c.attackFrames = s.CorruptFrames + s.ReplayFrames + s.ForgeFrames + s.DupFrames + s.ReorderHolds
-	c.drops = s.DecodeDrops + s.EpochDrops + s.AuthDrops + s.LateDrops + s.DupDrops
+	c.drops = s.DecodeDrops + s.EpochDrops + s.AuthDrops + s.LateDrops + s.DupDrops + s.SeqStale
 	for _, rs := range run.Restab {
 		if rs.Ticks >= 0 {
 			c.restabRatios = append(c.restabRatios, float64(rs.Ticks)/float64(rs.Budget))

@@ -17,6 +17,12 @@ import (
 // burst is over: every frame the current run of event-handler work
 // produced for a peer leaves in ONE FrameBatch datagram.
 //
+// The coalescer also numbers each directed link's frames: the container
+// carries the numbers (internal/wire/batch.go), and the receiver's
+// anti-replay window (replay.go) judges every inner frame by its number.
+// Every data datagram is a container, a flush of one frame included, so
+// the receiver has one path and every frame a number.
+//
 // "Once the burst is over" is expressed with the mailbox itself: the
 // first frame parked after a flush enqueues the flush as an event, so
 // it runs after every handler event that was already queued — by which
@@ -34,11 +40,13 @@ import (
 const maxBatchBytes = 60 << 10
 
 // pendingPeer accumulates one peer's unsent frames back-to-back in a
-// single buffer; ends[i] is the end offset of frame i (the AppendBatch
-// input format). container is the reusable envelope scratch.
+// single buffer; ends[i] is the end offset of frame i and nums[i] its
+// link number (the AppendBatch input format). container is the reusable
+// envelope scratch.
 type pendingPeer struct {
 	buf       []byte
 	ends      []int
+	nums      []uint64
 	container []byte
 }
 
@@ -52,6 +60,8 @@ type batchSender interface {
 type coalescer struct {
 	nn      *NetNode
 	pending []pendingPeer
+	// nextSeq[to] is the number the next fresh frame to peer to takes.
+	nextSeq []uint64
 	// dirty lists peers with parked frames in first-touch order; a peer
 	// may appear twice after an inline size flush (the second visit finds
 	// it empty and skips).
@@ -66,21 +76,32 @@ type coalescer struct {
 }
 
 func newCoalescer(nn *NetNode) *coalescer {
-	co := &coalescer{nn: nn, pending: make([]pendingPeer, nn.cfg.Params.N)}
+	co := &coalescer{nn: nn, pending: make([]pendingPeer, nn.cfg.Params.N),
+		nextSeq: make([]uint64, nn.cfg.Params.N)}
 	co.flushFn = co.flush
 	return co
 }
 
-// add parks one encoded frame for peer to, scheduling a flush at the
-// end of the current event burst. Event-loop only. The frame bytes are
-// copied immediately (the caller's scratch buffer is free on return).
-func (co *coalescer) add(to protocol.NodeID, frame []byte) {
+// next takes the link number of a fresh frame to peer to. Event-loop
+// only.
+func (co *coalescer) next(to protocol.NodeID) uint64 {
+	num := co.nextSeq[to]
+	co.nextSeq[to]++
+	return num
+}
+
+// add parks one encoded frame for peer to under link number num,
+// scheduling a flush at the end of the current event burst. Event-loop
+// only. The frame bytes are copied immediately (the caller's scratch
+// buffer is free on return).
+func (co *coalescer) add(to protocol.NodeID, frame []byte, num uint64) {
 	p := &co.pending[to]
 	if len(p.ends) == 0 {
 		co.dirty = append(co.dirty, to)
 	}
 	p.buf = append(p.buf, frame...)
 	p.ends = append(p.ends, len(p.buf))
+	p.nums = append(p.nums, num)
 	if len(p.ends) >= wire.MaxBatchFrames || len(p.buf) >= maxBatchBytes {
 		// Full container: emit now rather than overflow the datagram. The
 		// peer stays dirty-listed; later frames start a fresh batch.
@@ -109,7 +130,7 @@ func (co *coalescer) flush() {
 		if len(p.ends) == 0 {
 			continue // emptied by an inline size flush
 		}
-		dg := co.pack(to, p)
+		dg := co.pack(p)
 		if bs == nil {
 			nn.trans.send(to, dg)
 			continue
@@ -128,24 +149,19 @@ func (co *coalescer) flush() {
 
 // emit sends one peer's pending frames immediately (inline size flush).
 func (co *coalescer) emit(to protocol.NodeID, p *pendingPeer) {
-	co.nn.trans.send(to, co.pack(to, p))
+	co.nn.trans.send(to, co.pack(p))
 }
 
-// pack turns a peer's pending frames into the bytes to put on the wire
-// and resets the pending state. A lone frame ships raw — a plain
-// FrameMessage datagram, no container — so batching only ever appears on
-// the wire when it actually coalesces.
-func (co *coalescer) pack(to protocol.NodeID, p *pendingPeer) []byte {
+// pack turns a peer's pending frames into the container to put on the
+// wire and resets the pending state.
+func (co *coalescer) pack(p *pendingPeer) []byte {
 	nn := co.nn
-	if len(p.ends) == 1 {
-		dg := p.buf
-		p.buf, p.ends = p.buf[:0], p.ends[:0]
-		return dg
-	}
 	p.container = wire.AppendBatch(p.container[:0], nn.cfg.ID, nn.epochID,
-		int64(nn.nowTicks()), p.buf, p.ends)
-	nn.batchesSent.Add(1)
-	nn.batchedFrames.Add(int64(len(p.ends)))
-	p.buf, p.ends = p.buf[:0], p.ends[:0]
+		int64(nn.nowTicks()), p.buf, p.ends, p.nums...)
+	if len(p.ends) > 1 {
+		nn.batchesSent.Add(1)
+		nn.batchedFrames.Add(int64(len(p.ends)))
+	}
+	p.buf, p.ends, p.nums = p.buf[:0], p.ends[:0], p.nums[:0]
 	return p.container
 }

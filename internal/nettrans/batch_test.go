@@ -85,11 +85,11 @@ func TestBatchBrokenInnerFramingAdmitsHead(t *testing.T) {
 	if len(inner) >= 0x80 {
 		t.Fatalf("inner frame unexpectedly large: %d", len(inner))
 	}
-	// COUNT=2, LEN(head), head bytes, then a length prefix declaring 100
-	// bytes where none follow: wire.BatchReader yields the head and stops
-	// with ErrTruncated.
-	bp := append([]byte{2, byte(len(inner))}, inner...)
-	bp = append(bp, 100)
+	// FIRST=0, COUNT=2, STEP=0, LEN(head), head bytes, then STEP=0 and a
+	// length prefix declaring 100 bytes where none follow:
+	// wire.BatchReader yields the head and stops with ErrTruncated.
+	bp := append([]byte{0, 2, 0, byte(len(inner))}, inner...)
+	bp = append(bp, 0, 100)
 	b := wire.AppendFrame(nil, wire.Frame{
 		Kind: wire.FrameBatch, From: 1, Epoch: nn.epochID, Sent: now, Payload: bp,
 	})
@@ -112,10 +112,11 @@ func TestBatchBrokenInnerFramingAdmitsHead(t *testing.T) {
 // record/replay against the container format: every FrameBatch datagram
 // the virtual wire captured must expand through wire.ReadBatch into
 // decodable inner frames, and the expansion must account for exactly
-// the frames the senders' coalescers reported packing. The duplicate
-// condition guarantees multi-frame bursts (chaos copies join the same
-// flush), so a clean small cluster that happens never to coalesce
-// cannot vacuously pass.
+// the frames the senders' coalescers reported packing in multi-frame
+// containers (a flush of one frame ships in a container of one, which
+// BatchStats does not count). The duplicate condition guarantees
+// multi-frame bursts (chaos copies join the same flush), so a clean
+// small cluster that happens never to coalesce cannot vacuously pass.
 func TestCapturedBatchContainersExpand(t *testing.T) {
 	pp := protocol.DefaultParams(4)
 	pp.D = 50
@@ -144,13 +145,13 @@ func TestCapturedBatchContainersExpand(t *testing.T) {
 			t.Fatalf("captured datagram does not decode: %v", err)
 		}
 		if f.Kind != wire.FrameBatch {
-			continue
+			t.Fatalf("captured a %v datagram: every data datagram is a container", f.Kind)
 		}
-		containers++
 		br, err := wire.ReadBatch(f.Payload)
 		if err != nil {
 			t.Fatalf("captured container does not open: %v", err)
 		}
+		inner := int64(0)
 		for {
 			raw, ok := br.Next()
 			if !ok {
@@ -159,10 +160,14 @@ func TestCapturedBatchContainersExpand(t *testing.T) {
 			if _, _, err := wire.DecodeFrame(raw); err != nil {
 				t.Fatalf("inner frame does not decode: %v", err)
 			}
-			innerTotal++
+			inner++
 		}
 		if err := br.Err(); err != nil {
 			t.Fatalf("container iteration: %v", err)
+		}
+		if inner > 1 {
+			containers++
+			innerTotal += inner
 		}
 	}
 	bs := c.BatchStats()

@@ -14,8 +14,8 @@ import (
 // is also the byte-level attack engine: the wire-level kinds (wan,
 // duplicate, reorder, corrupt, replay, forge) manipulate encoded frames
 // on their way to the socket, and the receive pipeline's defenses (codec
-// validation, epoch check, source authentication, the d deadline,
-// duplicate suppression) are expected to reject them, each rejection
+// validation, epoch check, source authentication, the d deadline, the
+// anti-replay window) are expected to reject them, each rejection
 // counted per class. The simulator REJECTS these kinds — simulated
 // messages have no bytes to attack (internal/simnet/conditions.go).
 //
@@ -68,10 +68,12 @@ type chaos struct {
 }
 
 // tapeEntry is one captured outgoing frame the replay attack can
-// re-emit: enough to rebuild the envelope with its original send tick.
+// re-emit: enough to rebuild the envelope with its original send tick
+// and to ship it under its original link number.
 type tapeEntry struct {
 	to      protocol.NodeID
 	sent    int64
+	num     uint64
 	payload []byte
 }
 
@@ -306,15 +308,16 @@ func (ch *chaos) planSend(from, to protocol.NodeID, now simtime.Real) sendPlan {
 	return plan
 }
 
-// capture records one outgoing frame on the replay tape (send loop
-// only; no-op unless a replay window exists).
-func (ch *chaos) capture(to protocol.NodeID, sent int64, payload []byte) {
+// capture records one outgoing frame, numbered num on its link, on the
+// replay tape (send loop only; no-op unless a replay window exists).
+func (ch *chaos) capture(to protocol.NodeID, sent int64, num uint64, payload []byte) {
 	if !ch.needTape {
 		return
 	}
 	e := &ch.tape[ch.tapeAt]
 	e.to = to
 	e.sent = sent
+	e.num = num
 	e.payload = append(e.payload[:0], payload...)
 	ch.tapeAt = (ch.tapeAt + 1) % tapeLen
 	if ch.tapeSize < tapeLen {

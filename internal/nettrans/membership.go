@@ -191,13 +191,14 @@ func (c *Cluster) Running(id protocol.NodeID) bool {
 }
 
 // InjectFrame delivers one raw encoded wire datagram to node to as if
-// sent by from — the campaign's replay probe uses it to present a frame
-// stamped with a rolled node's old incarnation and assert the receive
-// pipeline rejects it (epoch_drops). On the virtual path the frame joins
-// the deterministic delivery schedule like any other send; on the wall
-// path it is written to to's UDP socket from an anonymous source (the
-// epoch check sits before source authentication in the acceptance
-// pipeline, so the probe exercises exactly the replay-rejection step).
+// sent by from — the campaign's replay probe uses it to present a
+// container stamped with a rolled node's old incarnation and assert the
+// receive pipeline rejects it (epoch_drops). On the virtual path the
+// datagram joins the deterministic delivery schedule like any other
+// send; on the wall path it is written to to's UDP socket from an
+// anonymous source (the epoch check sits before source authentication
+// in the acceptance pipeline, so the probe exercises exactly the
+// replay-rejection step).
 func (c *Cluster) InjectFrame(from, to protocol.NodeID, raw []byte) error {
 	if to < 0 || int(to) >= len(c.peers) {
 		return fmt.Errorf("nettrans: inject to node %d outside [0,%d)", to, len(c.peers))
@@ -205,7 +206,7 @@ func (c *Cluster) InjectFrame(from, to protocol.NodeID, raw []byte) error {
 	if c.wire != nil {
 		cp := append([]byte(nil), raw...)
 		c.wire.mu.Lock()
-		c.wire.scheduleLocked(from, to, cp)
+		c.wire.carryLocked(from, to, cp)
 		c.wire.mu.Unlock()
 		return nil
 	}

@@ -13,20 +13,22 @@ import (
 )
 
 // oldIncarnationProbe forges the replay probe: a protocol frame stamped
-// with node from's PREVIOUS incarnation epoch id. After a roll, every
-// peer must reject it at the first acceptance-pipeline step
-// (EpochDrops) — the proof that a rolled node's old life cannot be
-// replayed into its new one.
+// with node from's PREVIOUS incarnation epoch id, in its container.
+// After a roll, every peer must reject it at the first acceptance-
+// pipeline step (EpochDrops) — the proof that a rolled node's old life
+// cannot be replayed into its new one.
 func oldIncarnationProbe(c *Cluster, from protocol.NodeID, oldInc uint64) []byte {
-	return wire.AppendFrame(nil, wire.Frame{
+	epoch, sent := c.WireEpochID(oldInc), int64(c.NowTicks())
+	frame := wire.AppendFrame(nil, wire.Frame{
 		Kind:  wire.FrameMessage,
 		From:  from,
-		Epoch: c.WireEpochID(oldInc),
-		Sent:  int64(c.NowTicks()),
+		Epoch: epoch,
+		Sent:  sent,
 		Payload: wire.AppendMessage(nil, protocol.Message{
 			Kind: protocol.Initiator, G: from, From: from, M: "stale",
 		}),
 	})
+	return wire.AppendBatch(nil, from, epoch, sent, frame, []int{len(frame)})
 }
 
 // TestVirtualRollReplayRejected drives the membership tentpole end to

@@ -5,7 +5,8 @@
 // state machines across process boundaries — serialization, sender
 // authentication, packet reordering, genuine wall-clock scheduling — and
 // the substrate of the node daemon (cmd/ssbyz-node), the `ssbyz-bench
-// -cluster` mode, and the L1 live experiment.
+// -cluster` mode, the virtual-time campaigns, and the wire-rate pump
+// (pump.go).
 //
 // Two transports, two fidelity points against the paper's model:
 //
@@ -124,11 +125,15 @@ type Stats struct {
 	// DecodeDrops counts frames that failed to decode (corrupt/truncated).
 	DecodeDrops int64
 	// DupDrops counts frames discarded by receive-side duplicate
-	// suppression: byte-identical to a frame already accepted from the
-	// same sender within the last d ticks. The defense against datagram
-	// duplication and fresh replays — at-most-once delivery within the
-	// deadline window.
+	// suppression: their link sequence number was already admitted from
+	// the same sender (replay.go). The defense against datagram
+	// duplication and fresh replays — at-most-once delivery per number.
 	DupDrops int64
+	// SeqStale counts frames whose link sequence number fell behind the
+	// sender's anti-replay window, too old to judge, and so dropped. A
+	// correct link reorders far less than the window spans (DESIGN.md
+	// §11); a non-zero count is a replay or a reorder beyond the model.
+	SeqStale int64
 	// Clamps counts sends whose scripted environment delay (jitter + wan)
 	// exceeded D/2 and was clamped to keep the run inside the paper's
 	// bounded-delay model. Non-zero means the schedule asked for more
@@ -154,9 +159,9 @@ type Stats struct {
 // keys of the ops plane's /metrics counters and the names Pairs prints.
 var CounterNames = []string{
 	"sent", "received", "late_drops", "auth_drops", "epoch_drops",
-	"chaos_drops", "decode_drops", "dup_drops", "clamps", "rate_deferrals",
-	"dup_frames", "reorder_holds", "corrupt_frames", "replay_frames",
-	"forge_frames",
+	"chaos_drops", "decode_drops", "dup_drops", "seq_stale", "clamps",
+	"rate_deferrals", "dup_frames", "reorder_holds", "corrupt_frames",
+	"replay_frames", "forge_frames",
 }
 
 // fields lists pointers to s's counters in CounterNames order: the one
@@ -165,9 +170,9 @@ var CounterNames = []string{
 func (s *Stats) fields() []*int64 {
 	return []*int64{
 		&s.Sent, &s.Received, &s.LateDrops, &s.AuthDrops, &s.EpochDrops,
-		&s.ChaosDrops, &s.DecodeDrops, &s.DupDrops, &s.Clamps, &s.RateDeferrals,
-		&s.DupFrames, &s.ReorderHolds, &s.CorruptFrames, &s.ReplayFrames,
-		&s.ForgeFrames,
+		&s.ChaosDrops, &s.DecodeDrops, &s.DupDrops, &s.SeqStale, &s.Clamps,
+		&s.RateDeferrals, &s.DupFrames, &s.ReorderHolds, &s.CorruptFrames,
+		&s.ReplayFrames, &s.ForgeFrames,
 	}
 }
 
@@ -212,6 +217,7 @@ func (s *Stats) Add(other Stats) {
 	s.ChaosDrops += other.ChaosDrops
 	s.DecodeDrops += other.DecodeDrops
 	s.DupDrops += other.DupDrops
+	s.SeqStale += other.SeqStale
 	s.Clamps += other.Clamps
 	s.RateDeferrals += other.RateDeferrals
 	s.DupFrames += other.DupFrames
@@ -222,15 +228,15 @@ func (s *Stats) Add(other Stats) {
 }
 
 // BatchStats counts the frame coalescer's packing work. Deliberately kept
-// OUTSIDE Stats: the 15-counter vector counts what nodes observe, which
+// OUTSIDE Stats: the counter vector counts what nodes observe, which
 // coalescing must not change — only how bytes are packed.
 // TestVirtualWireDigests hashes Stats, never BatchStats, with the trace.
 type BatchStats struct {
 	// BatchesSent counts multi-frame container datagrams written.
 	BatchesSent int64
 	// BatchedFrames counts inner frames that rode inside those containers.
-	// Single-frame flushes go out raw (a plain FrameMessage datagram, no
-	// container) and are counted by neither field.
+	// A single-frame flush ships in a container of one and is counted by
+	// neither field.
 	BatchedFrames int64
 }
 
@@ -272,9 +278,10 @@ type NetNode struct {
 	// coalescer copies the bytes before returning.
 	payloadScratch, frameScratch []byte
 
-	// dedup is the receive-side duplicate-suppression window (the defense
-	// against datagram duplication and fresh replay).
-	dedup dedup
+	// windows[id] is sender id's anti-replay window (replay.go), the
+	// defense against datagram duplication and fresh replay. Each is
+	// touched only by the goroutine that ingests that sender.
+	windows []replayWindow
 
 	// inFree holds the recycled inbound batches (see inbound) and
 	// inFreeMsgs the message slots their slices hold; inMu guards both,
@@ -286,7 +293,7 @@ type NetNode struct {
 
 	sent, received                                        atomic.Int64
 	lateDrops, authDrops, epochDrops, chaosDrops, decDrop atomic.Int64
-	dupDrops, clamps, rateDefers                          atomic.Int64
+	dupDrops, seqStale, clamps, rateDefers                atomic.Int64
 	dupFrames, reorderHolds                               atomic.Int64
 	corruptFrames, replayFrames, forgeFrames              atomic.Int64
 	batchesSent, batchedFrames                            atomic.Int64
@@ -389,6 +396,7 @@ func startNode(cfg NodeConfig, node protocol.Node, mkTrans func(*NetNode) (trans
 		timers:     eventloop.NewTimersOn(cfg.Clock),
 		chaos:      ch,
 		pending:    make(map[protocol.TimerID]clock.Timer),
+		windows:    make([]replayWindow, cfg.Params.N),
 	}
 	for i := range nn.peerEpochs {
 		inc := uint64(0)
@@ -400,7 +408,6 @@ func startNode(cfg NodeConfig, node protocol.Node, mkTrans func(*NetNode) (trans
 		}
 		nn.peerEpochs[i].Store(base + inc)
 	}
-	nn.dedup.window = cfg.Params.D
 	nn.trans, err = mkTrans(nn)
 	if err != nil {
 		return nil, err
@@ -466,6 +473,7 @@ func (nn *NetNode) Stats() Stats {
 		ChaosDrops:    nn.chaosDrops.Load(),
 		DecodeDrops:   nn.decDrop.Load(),
 		DupDrops:      nn.dupDrops.Load(),
+		SeqStale:      nn.seqStale.Load(),
 		Clamps:        nn.clamps.Load(),
 		RateDeferrals: nn.rateDefers.Load(),
 		DupFrames:     nn.dupFrames.Load(),
@@ -516,7 +524,9 @@ func (nn *NetNode) Send(to protocol.NodeID, m protocol.Message) {
 // the plan orders, ship. Split from Send so Broadcast can route only
 // chaos-touched links through it. Forged and replayed frames join the
 // coalescer like real traffic, so attack frames keep their position in
-// the per-link frame order.
+// the per-link frame order. A forged frame takes a number of its own; a
+// replay carries the number of the frame it copies, and duplicates the
+// number of their original, as datagrams a real network repeats do.
 func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simtime.Real, plan sendPlan) {
 	if plan.drop {
 		nn.chaosDrops.Add(1)
@@ -532,8 +542,6 @@ func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simti
 		nn.reorderHolds.Add(1)
 	}
 	nn.payloadScratch = wire.AppendMessage(nn.payloadScratch[:0], m)
-	// The replay attacker records the REAL traffic, before corruption.
-	nn.chaos.capture(to, int64(now), nn.payloadScratch)
 	if plan.forge >= 0 {
 		// The forged twin claims another node's identity; the transport's
 		// source check is the defense the campaign expects to fire.
@@ -545,8 +553,11 @@ func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simti
 			Payload: nn.payloadScratch,
 		})
 		nn.forgeFrames.Add(1)
-		nn.co.add(to, forged)
+		nn.co.add(to, forged, nn.co.next(to))
 	}
+	num := nn.co.next(to)
+	// The replay attacker records the REAL traffic, before corruption.
+	nn.chaos.capture(to, int64(now), num, nn.payloadScratch)
 	if plan.replay {
 		if e := nn.chaos.pickReplay(now, plan.replayLag, plan.replayCross); e != nil {
 			epoch := nn.epochID
@@ -561,7 +572,7 @@ func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simti
 				Payload: e.payload,
 			})
 			nn.replayFrames.Add(1)
-			nn.co.add(e.to, replayed)
+			nn.co.add(e.to, replayed, e.num)
 		}
 	}
 	nn.frameScratch = wire.AppendFrame(nn.frameScratch[:0], wire.Frame{
@@ -585,19 +596,20 @@ func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simti
 		// returning, so the scratch is free for the next Send: zero
 		// allocations at steady state.
 		for i := 0; i < copies; i++ {
-			nn.co.add(to, nn.frameScratch)
+			nn.co.add(to, nn.frameScratch, num)
 		}
 		return
 	}
-	// A chaos-delayed frame outlives this call; it needs its own copy. It
-	// goes straight to the socket when its timer fires: the timer runs off
-	// the event loop, where the coalescer's unlocked state must not be
-	// touched, and the frame's delivery tick is its own, not the tick of
-	// whatever burst is in flight then.
-	frame := append([]byte(nil), nn.frameScratch...)
+	// A chaos-delayed frame outlives this call; it ships in a container of
+	// its own, numbered now. It goes straight to the socket when its timer
+	// fires: the timer runs off the event loop, where the coalescer's
+	// unlocked state must not be touched, and the frame's delivery tick is
+	// its own, not the tick of whatever burst is in flight then.
+	dg := wire.AppendBatch(nil, nn.cfg.ID, nn.epochID, int64(now),
+		nn.frameScratch, []int{len(nn.frameScratch)}, num)
 	nn.timers.AfterFunc(time.Duration(plan.delay)*nn.cfg.Tick, func() {
 		for i := 0; i < copies; i++ {
-			nn.trans.send(to, frame)
+			nn.trans.send(to, dg)
 		}
 	})
 }
@@ -632,9 +644,10 @@ func (nn *NetNode) Broadcast(m protocol.Message) {
 			})
 			encoded = true
 		}
+		num := nn.co.next(to)
 		// The replay attacker records the REAL traffic, per link.
-		nn.chaos.capture(to, int64(now), nn.payloadScratch)
-		nn.co.add(to, nn.frameScratch)
+		nn.chaos.capture(to, int64(now), num, nn.payloadScratch)
+		nn.co.add(to, nn.frameScratch, num)
 	}
 }
 
@@ -805,31 +818,55 @@ func (nn *NetNode) enqueue(in *inbound) {
 	nn.putInbound(in)
 }
 
-// admitFrame runs the acceptance pipeline on one decoded frame: epoch
-// check, sender authentication (authOK is the transport's source check
-// for the claimed id), the d deadline on UDP, duplicate suppression,
-// receiver-side churn, payload decode. It returns the decoded message
-// and true when the frame should be delivered. Every drop class counts
-// here, per frame — a batch container is just packaging, so its inner
-// frames are admitted one by one exactly as if each had its own
-// datagram. A batch nested inside a batch has no business on the data
-// path and is discarded as a decode drop. vals is the calling receive
-// goroutine's own value cache (nil decodes without one); the decoded
-// value is a fresh string, never a view of the frame's bytes.
-func (nn *NetNode) admitFrame(f wire.Frame, authOK bool, now simtime.Real, vals *wire.Values) (protocol.Message, bool) {
+// openContainer runs the checks a container's envelope answers for all
+// of its inner frames: the sender's incarnation epoch, and authOK, the
+// transport's verdict on the claimed sender (for UDP the source address,
+// for TCP the session identity, for the virtual wire the endpoint). It
+// returns the sender's anti-replay window, emptied when the sender
+// changed incarnation, or nil when the container is dropped.
+func (nn *NetNode) openContainer(from protocol.NodeID, epoch uint64, authOK bool) *replayWindow {
+	if epoch != nn.expectedEpoch(from) {
+		nn.epochDrops.Add(1)
+		return nil
+	}
+	if !authOK || from < 0 || int(from) >= len(nn.windows) {
+		nn.authDrops.Add(1)
+		return nil
+	}
+	w := &nn.windows[from]
+	if w.epoch != epoch {
+		*w = replayWindow{epoch: epoch}
+	}
+	return w
+}
+
+// admitFrame runs the acceptance pipeline on one inner frame of an open
+// container from sender: decode, epoch check, the claimed sender (it
+// must be the container's), the d deadline on UDP, the anti-replay
+// window on the frame's link number num, receiver-side churn, payload
+// decode. It returns the decoded message and true when the frame should
+// be delivered. Every drop class counts here, per frame — a container is
+// packaging, so its inner frames are admitted one by one exactly as if
+// each had its own datagram. Only message frames are data: a hello or a
+// batch nested inside a container is discarded as a decode drop. vals is
+// the calling receive goroutine's own value cache (nil decodes without
+// one); the decoded value is a fresh string, never a view of the
+// frame's bytes.
+func (nn *NetNode) admitFrame(raw []byte, sender protocol.NodeID, win *replayWindow, num uint64, now simtime.Real, vals *wire.Values) (protocol.Message, bool) {
+	f, consumed, err := wire.DecodeFrame(raw)
+	if err != nil || consumed != len(raw) {
+		nn.decDrop.Add(1)
+		return protocol.Message{}, false
+	}
 	if f.Epoch != nn.expectedEpoch(f.From) {
 		nn.epochDrops.Add(1)
 		return protocol.Message{}, false
 	}
-	switch f.Kind {
-	case wire.FrameHello:
-		return protocol.Message{}, false // session bookkeeping, nothing to deliver
-	case wire.FrameMessage:
-	default:
+	if f.Kind != wire.FrameMessage {
 		nn.decDrop.Add(1)
 		return protocol.Message{}, false
 	}
-	if !authOK {
+	if f.From != sender {
 		nn.authDrops.Add(1)
 		return protocol.Message{}, false
 	}
@@ -839,11 +876,14 @@ func (nn *NetNode) admitFrame(f wire.Frame, authOK bool, now simtime.Real, vals 
 		nn.lateDrops.Add(1)
 		return protocol.Message{}, false
 	}
-	if nn.dedup.seen(f, now) {
-		// At-most-once within the d window: a byte-identical frame from the
-		// same sender was already accepted, so this is datagram duplication
-		// or a fresh replay — either way, redundant by construction.
+	switch win.admit(num, now, nn.cfg.Params.D) {
+	case replayDup:
+		// At-most-once per number: this link number was already admitted,
+		// so this is datagram duplication or a fresh replay.
 		nn.dupDrops.Add(1)
+		return protocol.Message{}, false
+	case replayStale:
+		nn.seqStale.Add(1)
 		return protocol.Message{}, false
 	}
 	if nn.chaos.onRecv(nn.cfg.ID, now) {
@@ -859,33 +899,24 @@ func (nn *NetNode) admitFrame(f wire.Frame, authOK bool, now simtime.Real, vals 
 	return m, true
 }
 
-// handleFrame admits one frame and delivers it. It is called from
-// receive-loop goroutines; delivery is serialized by the mailbox.
-func (nn *NetNode) handleFrame(f wire.Frame, authOK bool, vals *wire.Values) {
-	m, ok := nn.admitFrame(f, authOK, nn.nowTicks(), vals)
-	if !ok {
+// handleBatch opens a container datagram (every data datagram is one)
+// and admits every inner frame individually: per-frame decode (a corrupt
+// inner frame costs one decode drop and spares its batch-mates), per-
+// frame sender check, deadline, anti-replay window and churn. All
+// admitted messages are delivered in order through ONE mailbox enqueue —
+// the amortization that lets the event loop keep up with a coalesced
+// wire. A frame of any other kind, or a broken container framing (bad
+// number, count or length prefix), costs one decode drop for the
+// unreadable remainder; frames yielded before the break stand. authOK is
+// the transport's verdict on the container's claimed sender. It is
+// called from the goroutine that owns that sender's window.
+func (nn *NetNode) handleBatch(f wire.Frame, authOK bool, vals *wire.Values) {
+	if f.Kind != wire.FrameBatch {
+		nn.decDrop.Add(1)
 		return
 	}
-	in := nn.getInbound(1)
-	in.msgs = append(in.msgs, m)
-	nn.enqueue(in)
-}
-
-// handleBatch unpacks a batch container and admits every inner frame
-// individually: per-frame decode (a corrupt inner frame costs one decode
-// drop and spares its batch-mates), per-frame authentication of the
-// claimed sender, per-frame deadline/dedup/churn. All admitted messages
-// are delivered in order through ONE mailbox enqueue — the amortization
-// that lets the event loop keep up with a coalesced wire. A broken
-// container framing (bad count or length prefix) costs one decode drop
-// for the unreadable remainder; frames yielded before the break stand.
-// auth answers "could this claimed sender have produced this datagram"
-// (for UDP the source-address check, for TCP the session identity) and
-// is consulted per inner frame, because a batch carries one envelope
-// but every inner frame restates its sender.
-func (nn *NetNode) handleBatch(f wire.Frame, auth func(protocol.NodeID) bool, vals *wire.Values) {
-	if f.Epoch != nn.expectedEpoch(f.From) {
-		nn.epochDrops.Add(1)
+	win := nn.openContainer(f.From, f.Epoch, authOK)
+	if win == nil {
 		return
 	}
 	r, err := wire.ReadBatch(f.Payload)
@@ -895,21 +926,10 @@ func (nn *NetNode) handleBatch(f wire.Frame, auth func(protocol.NodeID) bool, va
 	}
 	var in *inbound // taken at the first admitted frame
 	// One clock read admits the whole container: every inner frame shares
-	// the batch's arrival instant (virtual deliveries of one cascade all
-	// happen at the same fake-clock tick, so each inner frame meets the
-	// deadline check exactly as it would have arriving alone).
+	// the batch's arrival instant.
 	now := nn.nowTicks()
-	for {
-		raw, ok := r.Next()
-		if !ok {
-			break
-		}
-		inner, consumed, derr := wire.DecodeFrame(raw)
-		if derr != nil || consumed != len(raw) {
-			nn.decDrop.Add(1)
-			continue
-		}
-		if m, admit := nn.admitFrame(inner, auth(inner.From), now, vals); admit {
+	for raw, ok := r.Next(); ok; raw, ok = r.Next() {
+		if m, admit := nn.admitFrame(raw, f.From, win, r.Seq(), now, vals); admit {
 			if in == nil {
 				in = nn.getInbound(r.Remaining() + 1) // sized to the frames left
 			}
@@ -922,4 +942,22 @@ func (nn *NetNode) handleBatch(f wire.Frame, auth func(protocol.NodeID) bool, va
 	if in != nil {
 		nn.enqueue(in)
 	}
+}
+
+// handleInner admits one inner frame of a container the virtual wire
+// unpacked at send time (virtual.go): from and epoch are the container's
+// envelope, num the frame's link number. It is handleBatch for a
+// container of one, delivered through its own mailbox event.
+func (nn *NetNode) handleInner(from protocol.NodeID, epoch uint64, authOK bool, num uint64, raw []byte, vals *wire.Values) {
+	win := nn.openContainer(from, epoch, authOK)
+	if win == nil {
+		return
+	}
+	m, ok := nn.admitFrame(raw, from, win, num, nn.nowTicks(), vals)
+	if !ok {
+		return
+	}
+	in := nn.getInbound(1)
+	in.msgs = append(in.msgs, m)
+	nn.enqueue(in)
 }

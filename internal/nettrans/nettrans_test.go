@@ -209,7 +209,15 @@ func await(t *testing.T, what string, pred func() bool) {
 	}
 }
 
+// frameFor builds one message frame claiming sender from, in the
+// one-frame container every data frame travels in (link number 0).
 func frameFor(nn *NetNode, from protocol.NodeID, sent int64, epoch uint64) []byte {
+	frame := messageFrame(from, sent, epoch)
+	return wire.AppendBatch(nil, from, epoch, sent, frame, []int{len(frame)})
+}
+
+// messageFrame is frameFor's inner frame alone.
+func messageFrame(from protocol.NodeID, sent int64, epoch uint64) []byte {
 	payload := wire.AppendMessage(nil, protocol.Message{Kind: protocol.Echo, G: 0, M: "x", K: 1})
 	return wire.AppendFrame(nil, wire.Frame{
 		Kind: wire.FrameMessage, From: from, Epoch: epoch, Sent: sent, Payload: payload,
@@ -262,15 +270,17 @@ func TestEpochDropRejectsStaleIncarnation(t *testing.T) {
 	}
 }
 
-// TestCorruptDatagramsAreCountedNotFatal: garbage, truncations, and
-// trailing bytes increment DecodeDrops and never panic or deliver.
+// TestCorruptDatagramsAreCountedNotFatal: garbage, truncations,
+// trailing bytes, and a message frame outside a container (it carries no
+// link number) increment DecodeDrops and never panic or deliver.
 func TestCorruptDatagramsAreCountedNotFatal(t *testing.T) {
 	nn, stub, s1 := receiverHarness(t)
 	good := frameFor(nn, 1, int64(nn.nowTicks()), nn.epochID)
 	inject(t, nn, s1, []byte{0xde, 0xad, 0xbe, 0xef})
 	inject(t, nn, s1, good[:len(good)/2])
 	inject(t, nn, s1, append(append([]byte{}, good...), 0x00)) // trailing byte
-	await(t, "decode drops", func() bool { return nn.Stats().DecodeDrops == 3 })
+	inject(t, nn, s1, messageFrame(1, int64(nn.nowTicks()), nn.epochID))
+	await(t, "decode drops", func() bool { return nn.Stats().DecodeDrops == 4 })
 	if stub.count() != 0 {
 		t.Error("corrupt datagram was delivered")
 	}

@@ -10,9 +10,10 @@ import (
 // Transport throughput measurement: flood a wall-clock cluster with
 // broadcasts from inside one node's event loop and count what the other
 // ends accept. This is the instrument behind BenchmarkTransportSendRecv
-// and the L1 wire-rate floor — it measures the transport stack (encode,
-// coalesce, syscalls, receive shards, decode, dedup, delivery), with the
-// protocol state machines stubbed out by NullNode.
+// and the benchmark's wire-pump workload — it measures the transport
+// stack (encode, coalesce, syscalls, receive shards, decode, the
+// anti-replay window, delivery), with the protocol state machines
+// stubbed out by NullNode.
 
 // NullNode is a no-op protocol.Node: it acknowledges nothing and sends
 // nothing. Throughput runs install it via ClusterConfig.NewNode so the
@@ -51,8 +52,9 @@ const pumpChunk = 512
 
 // Pump floods the cluster with count broadcasts from node `from`,
 // issued inside its event loop in chunks so the coalescer packs each
-// chunk into one container per peer. Every message body is distinct
-// (dedup admits them all). It returns once deliveries plateau or the
+// chunk into one container per peer. Every message body is distinct, so
+// the flood's delivered count means the same whatever the receivers
+// suppress as duplicates. It returns once deliveries plateau or the
 // timeout passes. Wall-clock clusters only.
 func (c *Cluster) Pump(from protocol.NodeID, count int, timeout time.Duration) PumpResult {
 	nn := c.nodes[from]

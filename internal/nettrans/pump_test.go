@@ -9,8 +9,8 @@ import (
 
 // Transport throughput battery: the pump floods a wall-clock loopback
 // cluster through the full stack — encode, coalesce, sendmmsg, recvmmsg
-// into pooled buffers, sharded decode, dedup, delivery — with NullNode
-// stubbing the protocol out. TestRecvBufferPoolRace is the -race stress
+// into pooled buffers, sharded decode, the anti-replay window, delivery
+// — with NullNode stubbing the protocol out. TestRecvBufferPoolRace is the -race stress
 // for the pooled receive buffers; the benchmark and the floor test are
 // the local instruments behind the committed BENCH_PR9 artifact floor.
 

@@ -8,13 +8,12 @@ import (
 
 	"ssbyz/internal/clock"
 	"ssbyz/internal/protocol"
-	"ssbyz/internal/simtime"
 	"ssbyz/internal/wire"
 )
 
 // Allocation gate of the receive path (DESIGN.md §11): ingest, admit,
-// dedup, mailbox and handler must not allocate per delivered frame once
-// a cluster is warm. The gate counts allocations, not time, so it runs
+// the anti-replay window, mailbox and handler must not allocate per
+// delivered frame once a cluster is warm. The gate counts allocations, not time, so it runs
 // on a virtual-time cluster and is exact on any host.
 
 // maxAllocsPerFrame is the gate: at most one allocation per hundred
@@ -28,8 +27,8 @@ const maxAllocsPerFrame = 0.01
 var allocValues = []protocol.Value{"r0g0", "r0g1", "r0g2", "r0g3"}
 
 // allocCluster boots an n = 4 NullNode cluster on a fake clock with a
-// one-tick wire delay and a 20-tick d, so the dedup window rotates every
-// 20 ticks: every ten flood runs, every twenty ingest runs.
+// one-tick wire delay and a 20-tick d, so a measurement spans many d:
+// every ten flood runs, every twenty ingest runs.
 func allocCluster(t *testing.T) (*Cluster, *clock.Fake) {
 	t.Helper()
 	pp := protocol.DefaultParams(4)
@@ -47,7 +46,7 @@ func allocCluster(t *testing.T) (*Cluster, *clock.Fake) {
 	return c, fake
 }
 
-// measureAllocsPerFrame warms run up for at least three dedup windows,
+// measureAllocsPerFrame warms run up for at least three windows of d,
 // then reports testing.AllocsPerRun's count per delivered frame, the
 // frames counted from the cluster's Stats().Received.
 func measureAllocsPerFrame(t *testing.T, c *Cluster, run func()) (perRun, framesPerRun, perFrame float64) {
@@ -104,11 +103,11 @@ func TestReceivePathAllocsPerFrame(t *testing.T) {
 		c, fake := allocCluster(t)
 		dst := c.nodes[1]
 		const from, containers, perContainer = 2, 64, 9
-		auth := func(id protocol.NodeID) bool { return id == from }
 		var payload, inner, dg []byte
 		var ends []int
 		var vals wire.Values // the ingest shard's own value cache
 		k := 1 << 30         // clear of anything node 2 itself sends
+		var num uint64       // node 2's link number towards node 1
 		run := func() {
 			now := int64(dst.nowTicks())
 			epoch := dst.expectedEpoch(from)
@@ -122,12 +121,13 @@ func TestReceivePathAllocsPerFrame(t *testing.T) {
 						From: from, Epoch: epoch, Sent: now, Payload: payload})
 					ends = append(ends, len(inner))
 				}
-				dg = wire.AppendBatch(dg[:0], from, epoch, now, inner, ends)
+				dg = wire.AppendBatch(dg[:0], from, epoch, now, inner, ends, num)
+				num += perContainer
 				f, _, err := wire.DecodeFrame(dg)
 				if err != nil {
 					t.Fatalf("DecodeFrame: %v", err)
 				}
-				dst.handleBatch(f, auth, &vals)
+				dst.handleBatch(f, true, &vals)
 			}
 			// Advance waits for the mailbox to drain, then moves one tick.
 			fake.Advance(c.Tick())
@@ -138,51 +138,6 @@ func TestReceivePathAllocsPerFrame(t *testing.T) {
 			t.Errorf("ingest: %.5f allocs per delivered frame, gate %v", perFrame, maxAllocsPerFrame)
 		}
 	})
-}
-
-// TestDedupRotationKeepsStorage pins the dedup window's storage reuse:
-// from the third window on, a steady stream of distinct frames is
-// recorded and rotated out without a single allocation, and the second
-// generation, born at the first rotation, is sized to the first window's
-// traffic instead of regrowing from 64 entries. Repeats inside the
-// window still read as duplicates.
-func TestDedupRotationKeepsStorage(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
-	}
-	const window, perTick = 10, 200
-	d := dedup{window: window}
-	var payload []byte
-	k := 0
-	now := simtime.Real(0)
-	tick := func() {
-		for i := 0; i < perTick; i++ {
-			k++
-			payload = wire.AppendMessage(payload[:0], protocol.Message{Kind: protocol.Echo, K: k, M: "v"})
-			f := wire.Frame{Kind: wire.FrameMessage, From: 1, Sent: int64(now), Payload: payload}
-			if d.seen(f, now) {
-				t.Fatalf("fresh frame %d read as a duplicate", k)
-			}
-			if !d.seen(f, now) {
-				t.Fatalf("repeat of frame %d not caught", k)
-			}
-		}
-		now++
-	}
-	for i := 0; i <= window; i++ { // first window: cur grows from 64 entries
-		tick()
-	}
-	second := testing.AllocsPerRun(window-1, tick)
-	for i := 0; i < 2*window; i++ {
-		tick()
-	}
-	if steady := testing.AllocsPerRun(3*window, tick); steady != 0 {
-		t.Errorf("steady window traffic allocates %.2f per tick of %d frames, want 0", steady, perTick)
-	}
-	t.Logf("second window: %.2f allocs per tick of %d frames", second, perTick)
-	if second > 1 {
-		t.Errorf("second window allocates %.2f per tick of %d frames: its generation regrew", second, perTick)
-	}
 }
 
 // checkNode verifies every delivered message against the checksum its
@@ -206,11 +161,13 @@ func (n *checkNode) OnMessage(from protocol.NodeID, m protocol.Message) {
 // against its own event loop: four goroutines, standing in for ingest
 // shards, push containers into handleBatch while the mailbox drains
 // them, so batches go back to the free list and out again while other
-// batches are being delivered. Every message must arrive once and
-// intact; under -race a batch refilled before its delivery returned is
-// a reported race.
+// batches are being delivered. Each goroutine ingests its own sender, as
+// a shard owns the senders whose addresses map to it, so each sender's
+// anti-replay window has one goroutine. Every message must arrive once
+// and intact; under -race a batch refilled before its delivery returned,
+// or a window touched by two goroutines, is a reported race.
 func TestInboundRecycleRace(t *testing.T) {
-	pp := protocol.DefaultParams(4)
+	pp := protocol.DefaultParams(5)
 	pp.D = 20
 	fake := clock.NewFake(time.Time{})
 	var nodes []*checkNode
@@ -231,11 +188,10 @@ func TestInboundRecycleRace(t *testing.T) {
 	now := int64(dst.nowTicks())
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
-		from := protocol.NodeID(1 + s%3)
+		from := protocol.NodeID(1 + s)
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			auth := func(id protocol.NodeID) bool { return id == from }
 			epoch := dst.expectedEpoch(from)
 			var vals wire.Values
 			var payload, inner, dg []byte
@@ -250,13 +206,13 @@ func TestInboundRecycleRace(t *testing.T) {
 						From: from, Epoch: epoch, Sent: now, Payload: payload})
 					ends = append(ends, len(inner))
 				}
-				dg = wire.AppendBatch(dg[:0], from, epoch, now, inner, ends)
+				dg = wire.AppendBatch(dg[:0], from, epoch, now, inner, ends, uint64(b*perContainer))
 				f, _, err := wire.DecodeFrame(dg)
 				if err != nil {
 					t.Errorf("DecodeFrame: %v", err)
 					return
 				}
-				dst.handleBatch(f, auth, &vals)
+				dst.handleBatch(f, true, &vals)
 			}
 		}(s)
 	}

@@ -17,19 +17,20 @@ import (
 // datagram transport (coalesced frames per datagram, source-address
 // sender authentication, kernel-level loss allowed) and the TCP stream
 // transport (self-delimiting frames on long-lived per-peer connections,
-// hello-based authentication, lossless). Both feed decoded frames into
-// NetNode.handleFrame and handleBatch; everything protocol-visible is
-// identical.
+// hello-based authentication, lossless). Both feed decoded containers
+// into NetNode.handleBatch; everything protocol-visible is identical.
 //
 // The UDP receive side is the other half of the wire-rate hot path
 // (DESIGN.md §11; batch.go is the send half): datagrams are read into
 // the reader's slots (recvmmsg in batches where the platform supports it
 // — see socket_mmsg_linux.go), copied into recycled ingest buffers and
-// handed to per-source ingest shards, so decode, authentication, dedup
-// and chaos accounting run off the socket goroutine while the kernel
-// keeps filling the slots. Sharding by source address preserves per-link
-// FIFO order, which the bounded-delay model and the dedup window both
-// assume.
+// handed to per-source ingest shards, so decode, authentication, the
+// anti-replay check and chaos accounting run off the socket goroutine
+// while the kernel keeps filling the slots. Sharding by source address
+// preserves per-link FIFO order, which the bounded-delay model assumes,
+// and gives each sender's anti-replay window exactly one goroutine: a
+// container is admitted only from its sender's manifest address, so
+// only that address's shard ever opens the window.
 
 // Socket is a bound-but-idle listen socket. Binding is split from
 // starting so a cluster can bind every node first (learning ephemeral
@@ -281,10 +282,11 @@ func (t *udpTransport) closeShards() {
 
 // ingestLoop is one shard worker: decode, authenticate, admit, deliver
 // — everything downstream of the socket read — then recycle the buffer.
-// The dedup window and the message decoder both copy what they keep, and
-// the admitted messages reach the mailbox by value, so returning the
-// buffer to the free list here cannot leave aliases behind (pinned by
-// TestRecvBufferPoolRace under -race). Each worker owns a value cache.
+// The anti-replay window keeps only numbers and the message decoder
+// copies what it keeps, and the admitted messages reach the mailbox by
+// value, so returning the buffer to the free list here cannot leave
+// aliases behind (pinned by TestRecvBufferPoolRace under -race). Each
+// worker owns a value cache.
 func (t *udpTransport) ingestLoop(ch chan ingestItem) {
 	var vals wire.Values
 	for it := range ch {
@@ -302,11 +304,7 @@ func (t *udpTransport) process(dg []byte, src netip.AddrPort, vals *wire.Values)
 		t.nn.decDrop.Add(1)
 		return
 	}
-	if f.Kind == wire.FrameBatch {
-		t.nn.handleBatch(f, func(from protocol.NodeID) bool { return t.authenticate(from, src) }, vals)
-		return
-	}
-	t.nn.handleFrame(f, t.authenticate(f.From, src), vals)
+	t.nn.handleBatch(f, t.authenticate(f.From, src), vals)
 }
 
 // authenticate checks the datagram's source address against the claimed
@@ -330,6 +328,10 @@ type tcpTransport struct {
 	ln    net.Listener
 	peers []string
 	out   []*tcpPeer
+	// recvMu[id] serializes the readers of sender id's sessions on its
+	// anti-replay window: a redial or a rolled incarnation opens a new
+	// session while the old one's reader may still run.
+	recvMu []sync.Mutex
 
 	// mu guards the inbound set: connections peers dialed to us, which
 	// close() must shut down or their read loops would outlive Stop.
@@ -345,7 +347,8 @@ type tcpPeer struct {
 
 func newTCPTransport(nn *NetNode, ln net.Listener, peers []string) (*tcpTransport, error) {
 	t := &tcpTransport{nn: nn, ln: ln, peers: peers,
-		out: make([]*tcpPeer, len(peers)), inbound: make(map[net.Conn]struct{})}
+		out: make([]*tcpPeer, len(peers)), recvMu: make([]sync.Mutex, len(peers)),
+		inbound: make(map[net.Conn]struct{})}
 	for i := range t.out {
 		t.out[i] = &tcpPeer{}
 	}
@@ -485,18 +488,20 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 						t.nn.authDrops.Add(1)
 						return
 					}
+					if f.Epoch != t.nn.expectedEpoch(f.From) {
+						// Counted like any frame of a retired incarnation; the
+						// session's containers then fail the same check.
+						t.nn.epochDrops.Add(1)
+					}
 					peer = f.From
 					haveHello = true
-					t.nn.handleFrame(f, true, &vals)
 					continue
 				}
-				if f.Kind == wire.FrameBatch {
-					// Stream transport, same container: inner frames are
-					// authenticated against the session identity individually.
-					t.nn.handleBatch(f, func(from protocol.NodeID) bool { return from == peer }, &vals)
-					continue
-				}
-				t.nn.handleFrame(f, f.From == peer, &vals)
+				// Stream transport, same container: authenticated against the
+				// session identity.
+				t.recvMu[peer].Lock()
+				t.nn.handleBatch(f, f.From == peer, &vals)
+				t.recvMu[peer].Unlock()
 			}
 		}
 		if err != nil {

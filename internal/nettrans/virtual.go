@@ -21,9 +21,10 @@ import (
 // in-memory deterministic wire and every timer — protocol, chaos,
 // delivery — schedules on the fake clock. Everything above the socket
 // still runs for real: frames are encoded by the wire codec, carry the
-// epoch incarnation and send tick, and pass back through the full
-// acceptance pipeline (epoch check, authentication, the UDP deadline
-// drop, receiver churn, payload decode). What virtual time buys is
+// epoch incarnation, send tick and link number, and pass back through
+// the full acceptance pipeline (epoch check, authentication, the UDP
+// deadline drop, the anti-replay window, receiver churn, payload
+// decode). What virtual time buys is
 // reproducibility: a seeded run's trace is byte-identical across
 // executions (DESIGN.md §9).
 //
@@ -40,8 +41,9 @@ import (
 //     (flush time instead of Send time) and so reorders draws *between*
 //     links, but each link's own sequence — and therefore each frame's
 //     delay — is unchanged. A batch container is unpacked here at send
-//     time, each inner frame drawing its own delay, exactly as if it
-//     had shipped alone.
+//     time, each inner frame drawing its own delay and reaching the
+//     receiver with its container's sender, epoch and its own link
+//     number, exactly as if it had shipped alone.
 //   - Per-tick delivery buckets behind one canonical pump timer. Frames
 //     land in a bucket keyed by their delivery tick; a single self-
 //     rearming pump timer — registered before any node exists, rearmed
@@ -61,15 +63,21 @@ import (
 // through the property battery.
 type CapturedFrame struct {
 	From, To protocol.NodeID
-	// Bytes is the full encoded datagram (a single frame, or a
-	// FrameBatch container when the sender coalesced).
+	// Bytes is the full encoded datagram, a FrameBatch container.
 	Bytes []byte
 }
 
-// wireDelivery is one frame waiting in a delivery-tick bucket.
+// wireDelivery is one frame waiting in a delivery-tick bucket: an inner
+// frame with its container's claimed sender and epoch and its link
+// number num, or, when broken, the unreadable rest of a datagram. seq is
+// the frame's place in the link's wire order.
 type wireDelivery struct {
 	from, to protocol.NodeID
 	seq      int64
+	sender   protocol.NodeID
+	epoch    uint64
+	num      uint64
+	broken   bool
 	bytes    []byte
 }
 
@@ -138,41 +146,46 @@ func (t *memTransport) send(to protocol.NodeID, frame []byte) {
 		seq: w.linkSeq[int(t.id)*w.n+int(to)],
 		f:   CapturedFrame{From: t.id, To: to, Bytes: cp},
 	})
+	w.carryLocked(t.id, to, cp)
+}
+
+// carryLocked puts one datagram on the wire from endpoint from to node
+// to; w.mu must be held.
+func (w *memWire) carryLocked(from, to protocol.NodeID, cp []byte) {
 	if f, n, err := wire.DecodeFrame(cp); err == nil && n == len(cp) && f.Kind == wire.FrameBatch {
 		// Unpack at send time: every inner frame draws its own per-link
-		// delay and travels alone, exactly as if it had shipped raw. Inner
-		// frame *content* is not inspected here — a chaos-corrupted inner
-		// frame must still draw its delay and fail at the receiver, as it
-		// would have unbatched.
+		// delay and travels alone, exactly as if it had shipped in a
+		// container of one. Inner frame *content* is not inspected here — a
+		// chaos-corrupted inner frame must still draw its delay and fail at
+		// the receiver, as it would have unbatched.
 		if r, rerr := wire.ReadBatch(f.Payload); rerr == nil {
-			for {
-				inner, ok := r.Next()
-				if !ok {
-					break
-				}
-				w.scheduleLocked(t.id, to, inner)
+			for inner, ok := r.Next(); ok; inner, ok = r.Next() {
+				w.scheduleLocked(wireDelivery{from: from, to: to,
+					sender: f.From, epoch: f.Epoch, num: r.Seq(), bytes: inner})
 			}
 			if r.Err() == nil {
 				return
 			}
 		}
-		// An unreadable container never leaves the coalescer in practice;
-		// deliver it whole and let the receiver count the decode drop.
 	}
-	w.scheduleLocked(t.id, to, cp)
+	// An unreadable datagram, or the unreadable rest of one, never leaves
+	// the coalescer in practice; the receiver counts it as one decode
+	// drop, as handleBatch does on a socket.
+	w.scheduleLocked(wireDelivery{from: from, to: to, broken: true})
 }
 
 // scheduleLocked buckets one frame for delivery; w.mu must be held. The
 // delay is a pure function of the link and the frame's position on it.
-func (w *memWire) scheduleLocked(from, to protocol.NodeID, bytes []byte) {
-	seq := w.linkSeq[int(from)*w.n+int(to)]
-	w.linkSeq[int(from)*w.n+int(to)]++
-	if w.nodes[to] == nil {
+func (w *memWire) scheduleLocked(d wireDelivery) {
+	link := int(d.from)*w.n + int(d.to)
+	d.seq = w.linkSeq[link]
+	w.linkSeq[link]++
+	if w.nodes[d.to] == nil {
 		return // crash-faulty slot: the datagram vanishes, as on a parked socket
 	}
 	delay := w.dmin
 	if w.dmax > w.dmin {
-		delay += simtime.Duration(mix64(w.seed, uint64(from), uint64(to), uint64(seq)) % uint64(w.dmax-w.dmin+1))
+		delay += simtime.Duration(mix64(w.seed, uint64(d.from), uint64(d.to), uint64(d.seq)) % uint64(w.dmax-w.dmin+1))
 	}
 	if delay < 1 {
 		delay = 1 // a bucket must close strictly before its pump fire
@@ -183,7 +196,7 @@ func (w *memWire) scheduleLocked(from, to protocol.NodeID, bytes []byte) {
 		bucket = w.spare[len(w.spare)-1]
 		w.spare = w.spare[:len(w.spare)-1]
 	}
-	w.due[at] = append(bucket, wireDelivery{from: from, to: to, seq: seq, bytes: bytes})
+	w.due[at] = append(bucket, d)
 }
 
 // pump is the wire's single delivery timer body: rearm for the next
@@ -217,20 +230,14 @@ func (w *memWire) pump() {
 		if tgt == nil {
 			continue
 		}
-		f, n, err := wire.DecodeFrame(d.bytes)
-		if err != nil || n != len(d.bytes) {
+		if d.broken {
 			tgt.decDrop.Add(1)
 			continue
 		}
 		// The wire is point-to-point in process: the sender identity is
 		// its endpoint, so authentication holds by construction (the
 		// claimed-sender check still runs inside the acceptance pipeline).
-		if f.Kind == wire.FrameBatch {
-			from := d.from
-			tgt.handleBatch(f, func(id protocol.NodeID) bool { return id == from }, &w.vals)
-			continue
-		}
-		tgt.handleFrame(f, f.From == d.from, &w.vals)
+		tgt.handleInner(d.sender, d.epoch, d.sender == d.from, d.num, d.bytes, &w.vals)
 	}
 	clear(list) // release the frame bytes before the bucket is reused
 	w.mu.Lock()

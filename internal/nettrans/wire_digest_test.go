@@ -46,11 +46,13 @@ var wireDigestCells = map[string]wireDigestCell{
 // with one datagram per frame, so they hold however frames are packed. A
 // change that alters any trace event or transport counter fails here;
 // regenerate the table only for a change meant to alter wire behaviour.
+// The table was last regenerated when Stats gained SeqStale; hashed
+// without that field, every cell reproduced its previous digest.
 var wantWireDigests = map[string]string{
-	"attack-40": "c7456fa5cc0f6a05745ac2240b124be35589aa1cd048837f86ee6e5eecbb212d",
-	"attack-41": "abeaf0f521ab02fb4e74ad0410cdc39f644375f3e4548c8ccad76fd5f93b69e3",
-	"attack-42": "776408a508c8846f6ce573a9c27905d4291d7aaab880f584db9225521ee7c8e4",
-	"clean":     "3f0648f007cbe8b09b9965857686dbc775dfc02074d5865f203df1fdcd116490",
+	"attack-40": "96a9b51e36c2c294a0e64ce706351f99244aef9929e26a608645c3b37c611762",
+	"attack-41": "ad0bd22727a03e90e8991226db8e0338b69010caa1273be31dadbce2d901dea3",
+	"attack-42": "cd6d41b4a16129c2d4b48057ab28edc5552f69e38deb31222be6af600bda39b3",
+	"clean":     "451177327ed2ce15209fc840b3f0294738b1c94957c8f69103bc4552e88f2611",
 }
 
 // runWireCell runs one cell to its decisions, lets every in-flight frame
@@ -85,7 +87,7 @@ func runWireCell(t *testing.T, cell wireDigestCell) (Stats, BatchStats, []protoc
 }
 
 // wireDigest hashes every trace event in recording order and then the
-// 15-counter Stats vector.
+// Stats vector.
 func wireDigest(s Stats, events []protocol.TraceEvent) string {
 	h := sha256.New()
 	for _, ev := range events {
@@ -97,8 +99,9 @@ func wireDigest(s Stats, events []protocol.TraceEvent) string {
 
 // TestVirtualWireDigests pins the virtual wire's observable output from
 // one commit to the next: the full canonical trace, instant for instant,
-// and the Stats vector. Under the attack schedule the coalescer must
-// really have packed containers. The clean cell makes no claim about
+// and the Stats vector. No cell may reorder a frame behind its sender's
+// anti-replay window (seq_stale). Under the attack schedule the
+// coalescer must really have packed containers. The clean cell makes no claim about
 // packing: with nothing duplicated, whether two frames share a flush
 // depends on goroutine scheduling, which is exactly what the digest must
 // not see.
@@ -108,6 +111,9 @@ func TestVirtualWireDigests(t *testing.T) {
 			s, bs, events := runWireCell(t, cell)
 			if got := wireDigest(s, events); got != wantWireDigests[name] {
 				t.Errorf("digest %s, want %s (stats %+v)", got, wantWireDigests[name], s)
+			}
+			if s.SeqStale != 0 {
+				t.Errorf("%d frames fell behind the anti-replay window", s.SeqStale)
 			}
 			if cell.attack && bs.BatchesSent == 0 {
 				t.Errorf("the coalescer packed no container: %+v", bs)

@@ -391,11 +391,12 @@ func judgeRolls(fleet CampaignFleet, rolls []RollReport, drops []map[protocol.No
 }
 
 // ReplayProbe forges a protocol frame stamped with the given wire epoch
-// id — an old incarnation of node from. Orchestrators offer it to each
-// peer after a roll; the acceptance pipeline must reject it at its
-// first step (epoch_drops), proving the old life is dead.
+// id — an old incarnation of node from — in the container every data
+// frame travels in. Orchestrators offer it to each peer after a roll;
+// the acceptance pipeline must reject it at its first step
+// (epoch_drops), proving the old life is dead.
 func ReplayProbe(epochID uint64, from protocol.NodeID, sent int64) []byte {
-	return wire.AppendFrame(nil, wire.Frame{
+	frame := wire.AppendFrame(nil, wire.Frame{
 		Kind:  wire.FrameMessage,
 		From:  from,
 		Epoch: epochID,
@@ -404,6 +405,7 @@ func ReplayProbe(epochID uint64, from protocol.NodeID, sent int64) []byte {
 			Kind: protocol.Initiator, G: from, From: from, M: "stale",
 		}),
 	})
+	return wire.AppendBatch(nil, from, epochID, sent, frame, []int{len(frame)})
 }
 
 // frozenBackend is one slot's end-of-campaign readings: the NodeBackend

@@ -38,7 +38,7 @@ type NodeBackend interface {
 	Params() protocol.Params
 	// NowTicks is the node's clock reading in ticks since the epoch.
 	NowTicks() simtime.Real
-	// Stats is the live 15-counter transport vector.
+	// Stats is the live 16-counter transport vector.
 	Stats() nettrans.Stats
 	// Incarnation is the node's current incarnation number.
 	Incarnation() uint64

@@ -245,15 +245,15 @@ func TestServerEndpoints(t *testing.T) {
 	// Every counter distinct, so a name mixed up between a Stats field
 	// and its /metrics key, or in nettrans.StatsOf, shows as a mismatch.
 	full := nettrans.Stats{Sent: 7, Received: 8, LateDrops: 9, AuthDrops: 10,
-		EpochDrops: 3, ChaosDrops: 11, DecodeDrops: 12, DupDrops: 13, Clamps: 14,
-		RateDeferrals: 15, DupFrames: 16, ReorderHolds: 17, CorruptFrames: 18,
-		ReplayFrames: 19, ForgeFrames: 20}
+		EpochDrops: 3, ChaosDrops: 11, DecodeDrops: 12, DupDrops: 13, SeqStale: 21,
+		Clamps: 14, RateDeferrals: 15, DupFrames: 16, ReorderHolds: 17,
+		CorruptFrames: 18, ReplayFrames: 19, ForgeFrames: 20}
 	be.set(func(b *stubBackend) { b.stats = full })
 	m, err := cl.Metrics()
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	wantVec := []int64{7, 8, 9, 10, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20} // CounterNames order
+	wantVec := []int64{7, 8, 9, 10, 3, 11, 12, 13, 21, 14, 15, 16, 17, 18, 19, 20} // CounterNames order
 	vec := make([]int64, len(nettrans.CounterNames))
 	for i, name := range nettrans.CounterNames {
 		vec[i] = m.Counters[name]

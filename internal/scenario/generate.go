@@ -133,8 +133,8 @@ func Generate(seed int64, n int) Spec {
 //
 //   - wan, duplicate, and jitter windows may touch any link — geo delays
 //     and env jitter clamp into the chaos layer's d/2 share of the
-//     delivery bound, and the receive dedup window absorbs duplicates, so
-//     the bounded-delay axiom survives;
+//     delivery bound, and the receive anti-replay window absorbs
+//     duplicates, so the bounded-delay axiom survives;
 //   - corrupt, replay, forge, and hostile reorder windows only ever name
 //     faulty nodes: a byte-attacker on an adversary's NIC is just more
 //     Byzantine behavior, while unbounded holds or garbage on correct
@@ -233,7 +233,7 @@ func GenerateLive(seed int64, n int) Spec {
 		}
 		sp.Conditions = append(sp.Conditions, c)
 	}
-	if rng.Intn(2) == 0 { // duplication: absorbed by the receive dedup
+	if rng.Intn(2) == 0 { // duplication: absorbed by the anti-replay window
 		from, until := window(10)
 		sp.Conditions = append(sp.Conditions, simnet.Condition{
 			Kind: simnet.CondDuplicate, From: from, Until: until,

@@ -64,10 +64,11 @@ const (
 	// the run inside the paper's bounded-delay model (clamps are counted).
 	CondWAN = "wan"
 	// CondDuplicate re-sends every Stride-th frame Copies extra times —
-	// the at-least-once pathology of datagram networks. The transport's
-	// defense is receive-side exact-duplicate suppression within the d
-	// window (DupDrops); the protocol state machines are idempotent under
-	// identical re-delivery anyway, so this attack is legal on any link.
+	// the at-least-once pathology of datagram networks. A copy carries
+	// its original's link sequence number, and the transport's defense is
+	// the receiver's anti-replay window (DupDrops); the protocol state
+	// machines are idempotent under identical re-delivery anyway, so this
+	// attack is legal on any link.
 	CondDuplicate = "duplicate"
 	// CondReorder holds every Stride-th frame back by Jitter ticks
 	// (default d/2 at compile) without touching its send tick, forcing
@@ -92,8 +93,9 @@ const (
 	// CrossEpoch the replayed frame instead claims the next cluster
 	// incarnation. Defenses, in pipeline order: the epoch check
 	// (EpochDrops) for cross-incarnation frames, the d deadline
-	// (LateDrops) for stale send ticks, and duplicate suppression
-	// (DupDrops) for fresh-enough replays.
+	// (LateDrops) for stale send ticks, and the anti-replay window for
+	// fresh-enough replays, which carry their original's link sequence
+	// number (DupDrops, or SeqStale once it fell behind the window).
 	CondReplay = "replay"
 	// CondForge emits, on every Stride-th send by Nodes, an extra copy of
 	// the frame claiming a DIFFERENT sender id — the identity-forgery

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"ssbyz/internal/protocol"
@@ -135,15 +137,16 @@ func FuzzMessageFields(f *testing.F) {
 }
 
 // buildBatch coalesces the given frame encodings the way the transport
-// does: concatenated into one scratch buffer with end offsets.
-func buildBatch(from protocol.NodeID, epoch uint64, sent int64, frames [][]byte) []byte {
+// does: concatenated into one scratch buffer with end offsets, numbered
+// by nums (consecutively from 0 when nums is empty).
+func buildBatch(from protocol.NodeID, epoch uint64, sent int64, frames [][]byte, nums ...uint64) []byte {
 	var buf []byte
 	var ends []int
 	for _, fb := range frames {
 		buf = append(buf, fb...)
 		ends = append(ends, len(buf))
 	}
-	return AppendBatch(nil, from, epoch, sent, buf, ends)
+	return AppendBatch(nil, from, epoch, sent, buf, ends, nums...)
 }
 
 // FuzzDecodeBatch is fuzz target #5: the coalesced batch-envelope
@@ -160,6 +163,16 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(whole[:len(whole)-3])             // truncation mid-inner-frame
 	f.Add(buildBatch(2, 7, 43, inner[:1]))  // single-frame batch
 	f.Add(buildBatch(3, 7, 44, [][]byte{})) // zero count: corrupt
+	// Numbered containers as the transport ships them: a link deep into
+	// its sequence, a chaos copy repeating its predecessor's number, a
+	// replay jumping back to an old number, and numbers at the top of
+	// the range, where the next one in line wraps.
+	f.Add(buildBatch(4, 7, 45, inner, 1<<40))
+	f.Add(buildBatch(4, 7, 45, inner, 300, 300, 17, 301))
+	f.Add(buildBatch(5, 7, 46, inner[:2], ^uint64(0)-1, ^uint64(0)))
+	// A FIRST varint cut short, and one that never terminates.
+	f.Add(AppendFrame(nil, Frame{Kind: FrameBatch, From: 1, Epoch: 7, Payload: []byte{0x80}}))
+	f.Add(AppendFrame(nil, Frame{Kind: FrameBatch, From: 1, Epoch: 7, Payload: bytes.Repeat([]byte{0x80}, 11)}))
 	// Corrupt an inner length prefix deep in the container.
 	mangled := append([]byte(nil), whole...)
 	mangled[len(mangled)/2] = 0xff
@@ -181,6 +194,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			return
 		}
 		var innerCopies [][]byte
+		var nums []uint64
 		steps := 0
 		for {
 			fb, ok := r.Next()
@@ -194,11 +208,12 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("inner frame larger than payload: %d > %d", len(fb), len(fr.Payload))
 			}
 			innerCopies = append(innerCopies, append([]byte(nil), fb...))
+			nums = append(nums, r.Seq())
 		}
 		if r.Err() != nil {
 			return // container framing broke mid-way; yielded frames stand
 		}
-		re := buildBatch(fr.From, fr.Epoch, fr.Sent, innerCopies)
+		re := buildBatch(fr.From, fr.Epoch, fr.Sent, innerCopies, nums...)
 		fr2, _, err := DecodeFrame(re)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
@@ -217,6 +232,9 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 			if !bytes.Equal(fb, innerCopies[i]) {
 				t.Fatalf("inner frame %d not byte-stable (sender attribution at risk)", i)
+			}
+			if r2.Seq() != nums[i] {
+				t.Fatalf("inner frame %d renumbered: %d, want %d", i, r2.Seq(), nums[i])
 			}
 		}
 	})
@@ -308,5 +326,74 @@ func TestBatchCorruptInnerContentSparesMates(t *testing.T) {
 	}
 	if dropped != 1 || decoded != len(frames)-1 {
 		t.Fatalf("decoded=%d dropped=%d, want %d/1", decoded, dropped, len(frames)-1)
+	}
+}
+
+// TestBatchNumbering pins the container's link sequence numbers: a
+// consecutive run costs one STEP byte per entry, copies and replays keep
+// the number they were given, entries past the given numbers continue
+// one past their predecessor, and the numbers wrap at the top of the
+// range like the counters they come from.
+func TestBatchNumbering(t *testing.T) {
+	frames := dataFrames()
+	cases := []struct {
+		name string
+		nums []uint64
+		want []uint64
+	}{
+		{"default", nil, []uint64{0, 1, 2, 3}},
+		{"first only", []uint64{1000}, []uint64{1000, 1001, 1002, 1003}},
+		{"copy and replay", []uint64{300, 300, 17, 301}, []uint64{300, 300, 17, 301}},
+		{"wrap", []uint64{^uint64(0) - 1}, []uint64{^uint64(0) - 1, ^uint64(0), 0, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := buildBatch(1, 5, 1, frames, tc.nums...)
+			fr, _, err := DecodeFrame(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := ReadBatch(fr.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []uint64
+			for _, ok := r.Next(); ok; _, ok = r.Next() {
+				got = append(got, r.Seq())
+			}
+			if r.Err() != nil || !slices.Equal(got, tc.want) {
+				t.Fatalf("numbers %v (err %v), want %v", got, r.Err(), tc.want)
+			}
+		})
+	}
+	// A consecutive run pays one STEP byte per entry over the numbering
+	// of the first frame.
+	plain := buildBatch(1, 5, 1, frames, 0)
+	deep := buildBatch(1, 5, 1, frames, 1<<40)
+	if extra := len(deep) - len(plain); extra != uvarintLen(1<<40)-1 {
+		t.Fatalf("numbering from 2^40 costs %d bytes over numbering from 0, want %d", extra, uvarintLen(1<<40)-1)
+	}
+}
+
+// TestReadBatchCorruptFirst pins ReadBatch's handling of a damaged FIRST
+// field: a varint cut short is truncation, a varint that never
+// terminates is corruption, and neither yields a frame.
+func TestReadBatchCorruptFirst(t *testing.T) {
+	cases := []struct {
+		name    string
+		payload []byte
+		want    error
+	}{
+		{"empty", nil, ErrTruncated},
+		{"truncated first", []byte{0x80}, ErrTruncated},
+		{"overlong first", bytes.Repeat([]byte{0x80}, 11), ErrCorrupt},
+		{"count missing", []byte{0x05}, ErrTruncated},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadBatch(tc.payload); !errors.Is(err, tc.want) {
+				t.Fatalf("ReadBatch: %v, want %v", err, tc.want)
+			}
+		})
 	}
 }

@@ -14,21 +14,27 @@
 // send-tick field lets the receiver enforce the paper's bounded-delay
 // axiom by dropping frames older than d (transport-level deadline drops —
 // late delivery would violate the model the proofs assume, so a late
-// frame is treated exactly like a lost one).
+// frame is treated exactly like a lost one). Data frames travel inside
+// a batch container (batch.go) that numbers them on their directed link,
+// so a receiver suppresses duplicated and replayed datagrams with a
+// fixed anti-replay window instead of remembering payloads.
 //
-// Encoding rules (version 1):
+// Encoding rules (version 2):
 //
 //   - all integers are varints (encoding/binary), zigzag for signed;
 //   - strings are a uvarint byte length followed by raw bytes;
 //   - a frame is MAGIC(2) VERSION(1) KIND(1) FROM EPOCH SENT LEN PAYLOAD,
 //     self-delimiting so the same bytes work as one UDP datagram or as a
-//     record in a TCP stream.
+//     record in a TCP stream;
+//   - a FrameBatch payload is FIRST COUNT then COUNT × (STEP LEN FRAME):
+//     the link sequence number of the first inner frame, then each inner
+//     frame's distance from the next number in line and its encoding.
 //
 // Every Append* function appends to the caller's buffer and returns the
 // extended slice, so steady-state encoding performs zero allocations once
 // the per-connection scratch buffer has grown to the working-set size.
 // Decoding never panics on truncated or corrupt input — the fuzz harness
-// (wire_fuzz_test.go) and the corruption tests pin that.
+// (fuzz_test.go) and the corruption tests pin that.
 package wire
 
 import (
@@ -41,8 +47,9 @@ import (
 )
 
 // Version is the codec version stamped into every frame. A decoder
-// rejects frames whose version it does not know.
-const Version = 1
+// rejects frames whose version it does not know. Version 2 added the
+// link sequence numbers of the batch container.
+const Version = 2
 
 // magic0, magic1 open every frame ("sB" — ss-Byz). Two fixed bytes let a
 // receiver discard port-scan noise and cross-protocol garbage cheaply.
@@ -69,10 +76,11 @@ const (
 	FrameHello FrameKind = 1
 	// FrameMessage carries one encoded protocol.Message.
 	FrameMessage FrameKind = 2
-	// FrameBatch carries a coalesced batch of complete inner frames
-	// (batch.go): COUNT then COUNT × (LEN, frame bytes). One batch is one
-	// datagram / one stream record; every inner frame is authenticated and
-	// checked individually on receipt.
+	// FrameBatch carries a batch of complete, numbered inner frames
+	// (batch.go): FIRST, COUNT, then COUNT × (STEP, LEN, frame bytes). One
+	// batch is one datagram / one stream record and every data frame
+	// travels in one; every inner frame is authenticated and checked
+	// individually on receipt.
 	FrameBatch FrameKind = 7
 )
 
@@ -218,8 +226,9 @@ func (v *Values) intern(b []byte) string {
 
 // ---- protocol.Message ----
 
-// AppendMessage appends the version-1 encoding of m to dst and returns
-// the extended slice. Field order: Kind, G, P, K, Aux, From, M.
+// AppendMessage appends the encoding of m (unchanged since version 1)
+// to dst and returns the extended slice. Field order: Kind, G, P, K,
+// Aux, From, M.
 func AppendMessage(dst []byte, m protocol.Message) []byte {
 	dst = appendVarint(dst, int64(m.Kind))
 	dst = appendVarint(dst, int64(m.G))
@@ -283,8 +292,9 @@ func decodeMessage(b []byte, vals *Values) (protocol.Message, int, error) {
 
 // ---- protocol.TraceEvent ----
 
-// AppendTraceEvent appends the version-1 encoding of ev to dst. Field
-// order: Kind, Node, RT, Tau, G, K, TauG, RTauG, P, M. Records are
+// AppendTraceEvent appends the encoding of ev (unchanged since version
+// 1) to dst. Field order: Kind, Node, RT, Tau, G, K, TauG, RTauG, P, M.
+// Records are
 // self-delimiting, so a whole trace is their plain concatenation (the
 // body the ops plane serves on GET /trace).
 func AppendTraceEvent(dst []byte, ev protocol.TraceEvent) []byte {
