@@ -17,17 +17,22 @@
 // manifest with a workload (seed, sessions, entries) and a membership
 // schedule: scale steps boot slots held back at start, a roll step
 // replaces a running node — stop, bump its incarnation epoch on every
-// peer, reboot on the same address — and the drain step ends the run
-// once traffic has committed and every roll has re-stabilized. The
-// quick form (-n/-roll) synthesizes the canonical schedule: scale the
-// last slot at 10d, roll at 22d, drain at 30d.
+// peer, reboot on the same address — a fault step corrupts a running
+// node's protocol state in place (POST /fault on a daemon), and the
+// drain step ends the run once traffic has committed and every roll and
+// fault has re-stabilized. The quick form (-n/-roll) synthesizes the
+// canonical schedule: scale the last slot at 10d, roll at 22d, drain at
+// 30d. The specs under testdata/ are CI's other forms: drain4.json and
+// drain7.json (traffic only) and fault4.json (a fault on node 2).
 //
-// The verdicts are the paper's: the rolled node must re-stabilize
-// within Δstb = 2Δreset (a roll is a transient fault to a
-// self-stabilizing protocol — DESIGN.md §12), a frame replayed from its
-// previous incarnation must be rejected by every peer (epoch_drops),
-// and the workload must commit across the roll. The exit status is
-// non-zero if any verdict fails.
+// The verdicts are the paper's: a rolled or faulted node must
+// re-stabilize within Δstb = 2Δreset (a roll is a transient fault to a
+// self-stabilizing protocol — DESIGN.md §12), a frame replayed from a
+// rolled node's previous incarnation must be rejected by every peer
+// (epoch_drops), the workload must commit throughout, and the property
+// battery must hold over the committed log at every node no step
+// touches. The report also prints the initiate→commit latency in units
+// of d. The exit status is non-zero if any verdict fails.
 //
 // Every mode runs internal/ops.RunCampaign, the engine of experiment
 // V4, under one verdict; only the fleet differs: an in-process cluster
@@ -42,17 +47,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"ssbyz/internal/clock"
+	"ssbyz/internal/metrics"
 	"ssbyz/internal/ops"
 	"ssbyz/internal/simtime"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ssbyz-cluster:", err)
 		os.Exit(1)
 	}
@@ -90,15 +97,18 @@ func defineFlags(fs *flag.FlagSet) *clusterFlags {
 		entries:   fs.Int("entries", 0, "replicated-log entries the pump commits during the campaign (0 = the spec's default)"),
 		seed:      fs.Int64("seed", 7, "campaign seed: wire delays (virtual) and workload arrivals"),
 		virtual:   fs.Bool("virtual", false, "run under virtual time on a fake clock over the deterministic in-memory wire (in-process only; byte-reproducible)"),
-		procs:     fs.Bool("procs", false, "one ssbyz-node process per slot, driven through the REST fleet (udp only, one session per daemon)"),
+		procs:     fs.Bool("procs", false, "one ssbyz-node process per slot, driven through the REST fleet (one session per daemon; udp when the spec rolls a node)"),
 		nodeBin:   fs.String("node-bin", "", "-procs: path to the ssbyz-node binary (default: sibling of ssbyz-cluster, then PATH)"),
 		jsonOut:   fs.String("json", "", "also write the campaign report as JSON to this file"),
 	}
 }
 
-func run() error {
-	f := defineFlags(flag.CommandLine)
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("ssbyz-cluster", flag.ExitOnError)
+	f := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	spec, err := loadSpec(f)
 	if err != nil {
@@ -137,7 +147,8 @@ func run() error {
 // loadSpec resolves the campaign spec: the -spec file, or the quick
 // form synthesized from -n/-roll/-d/-seed, with -sessions/-entries
 // overrides applied either way; it refuses what a -procs fleet cannot
-// run.
+// run: TCP with a roll step, whose replay probe is a raw datagram, and
+// more than one session.
 func loadSpec(f *clusterFlags) (ops.ClusterSpec, error) {
 	var spec ops.ClusterSpec
 	if *f.spec != "" {
@@ -161,8 +172,8 @@ func loadSpec(f *clusterFlags) (ops.ClusterSpec, error) {
 	switch {
 	case *f.procs && *f.virtual:
 		return spec, fmt.Errorf("-procs and -virtual are mutually exclusive (processes run on the wall clock)")
-	case *f.procs && *f.transport != "udp":
-		return spec, fmt.Errorf("-procs needs -transport udp (the replay probe is a raw datagram)")
+	case *f.procs && *f.transport != "udp" && slices.ContainsFunc(spec.Steps, func(st ops.Step) bool { return st.Op == ops.OpRoll }):
+		return spec, fmt.Errorf("-procs with a roll step needs -transport udp (the replay probe is a raw datagram)")
 	case *f.procs && spec.Sessions > 1:
 		return spec, fmt.Errorf("-procs runs one agreement session per daemon (ssbyz-node runs a single-session node), not %d; drop -procs to run sessions in process", spec.Sessions)
 	}
@@ -181,6 +192,16 @@ func printReport(rep *ops.CampaignReport, budget ops.FaultBudget, virtual bool, 
 		mode, pp.N, pp.F, pp.D, rep.Horizon)
 	fmt.Printf("workload: committed=%d failed=%d dropped=%d\n",
 		rep.Committed, rep.Failed, rep.Dropped)
+	var lats []float64
+	for _, lr := range rep.Logs {
+		for _, e := range lr.Committed {
+			lats = append(lats, float64(e.CommittedAt-e.InitiatedAt)/float64(pp.D))
+		}
+	}
+	if len(lats) > 0 {
+		s := metrics.Summarize(lats)
+		fmt.Printf("latency: initiate→commit p50=%.2fd max=%.2fd over %d entries\n", s.P50, s.Max, len(lats))
+	}
 	for _, sc := range rep.Scales {
 		fmt.Printf("scale: node %d up at tick %d\n", sc.Node, sc.At)
 	}
@@ -195,6 +216,15 @@ func printReport(rep *ops.CampaignReport, budget ops.FaultBudget, virtual bool, 
 		}
 		fmt.Printf("roll: node %d at tick %d → incarnation %d, re-stabilized in %s, replay rejected by %d/%d peers\n",
 			rr.Node, rr.At, rr.Incarnation, restab, rr.EpochDropPeers, pp.N-1)
+	}
+	for _, fr := range rep.Faults {
+		restab := "never"
+		if fr.RestabTicks >= 0 {
+			restab = fmt.Sprintf("%d ticks (%.3f Δstb)", fr.RestabTicks,
+				float64(fr.RestabTicks)/float64(pp.DeltaStb()))
+		}
+		fmt.Printf("fault: node %d corrupted in place at tick %d (severity 1000‰), re-stabilized in %s\n",
+			fr.Node, fr.At, restab)
 	}
 	for _, w := range budget.Windows {
 		fmt.Printf("budget: %s of node %d non-correct in %s\n", w.Op, w.Node, budget.Span(w.From, w.To))
@@ -218,46 +248,11 @@ func printReport(rep *ops.CampaignReport, budget ops.FaultBudget, virtual bool, 
 		rep.Stats.Sent, rep.Stats.Received, rep.Stats.EpochDrops, rep.Stats.LateDrops)
 }
 
-// judgeReport turns the report into the exit verdict: every scale and
-// roll step of the spec executed, workload committed, every roll within
-// Δstb with the replay rejected everywhere, final fleet health
-// stabilized. A failed verdict names the schedule's fault budget, so a
-// schedule outside the model says so.
+// judgeReport turns the campaign verdict (ops.CampaignReport.Verdicts)
+// into the exit status. A failed verdict names the schedule's fault
+// budget, so a schedule outside the model says so.
 func judgeReport(spec ops.ClusterSpec, rep *ops.CampaignReport) error {
-	var errs []string
-	var scales, rolls int
-	for _, st := range spec.Steps {
-		switch st.Op {
-		case ops.OpScale:
-			scales++
-		case ops.OpRoll:
-			rolls++
-		}
-	}
-	if len(rep.Scales) != scales || len(rep.Rolls) != rolls {
-		errs = append(errs, fmt.Sprintf("membership: %d scales and %d rolls executed, the spec has %d and %d",
-			len(rep.Scales), len(rep.Rolls), scales, rolls))
-	}
-	if rep.Committed == 0 || rep.Failed != 0 || rep.Dropped != 0 {
-		errs = append(errs, fmt.Sprintf("workload: committed=%d failed=%d dropped=%d",
-			rep.Committed, rep.Failed, rep.Dropped))
-	}
-	for _, rr := range rep.Rolls {
-		if rr.RestabTicks < 0 || !rr.WithinDeltaStb {
-			errs = append(errs, fmt.Sprintf("roll of node %d missed the Δstb=%d budget (restab=%d)",
-				rr.Node, rep.Params.DeltaStb(), rr.RestabTicks))
-		}
-		if rr.EpochDropPeers != rep.Params.N-1 {
-			errs = append(errs, fmt.Sprintf("old-incarnation replay rejected by %d/%d peers",
-				rr.EpochDropPeers, rep.Params.N-1))
-		}
-	}
-	for id, st := range rep.Health {
-		if st != ops.StateStabilized {
-			errs = append(errs, fmt.Sprintf("final health[%d] = %q", id, st))
-		}
-	}
-	if len(errs) > 0 {
+	if errs := rep.Verdicts(spec); len(errs) > 0 {
 		errs = append(errs, "fault budget: "+spec.FaultBudget().String())
 		return fmt.Errorf("campaign verdicts failed:\n  %s", strings.Join(errs, "\n  "))
 	}

@@ -14,8 +14,8 @@
 // address, the shared epoch (the wall-clock instant all local clocks read
 // tick 0, and the incarnation id every frame carries), and an optional
 // chaos schedule. Start one daemon per manifest entry and the cluster
-// assembles itself; `ssbyz-bench -cluster N -procs` and `ssbyz-cluster
-// -procs` automate exactly that on loopback (internal/ops.Fleet).
+// assembles itself; `ssbyz-cluster -procs` automates exactly that on
+// loopback (internal/ops.Fleet).
 //
 // -ops serves the internal/ops REST control plane (libpod-style), the
 // daemon's one orchestration surface: GET /healthz reports the

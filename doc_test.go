@@ -107,7 +107,7 @@ func TestAdversarialCampaignDocumented(t *testing.T) {
 	for _, anchor := range []string{
 		"Byte-level attacks on the live wire", // recipe 6
 		"In-situ transient fault",             // recipe 7
-		"`-fault K`",                          // the flag-table row
+		"`fault` step",                        // the campaign's in-situ fault step
 		"POST /fault",                         // the daemon fault order
 	} {
 		if !strings.Contains(string(readme), anchor) {

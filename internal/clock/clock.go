@@ -5,11 +5,12 @@
 // deterministic Fake (fake.go) that fires timers in a total
 // (deadline, registration) order under explicit Advance/Step control.
 //
-// The point is ROADMAP item 5 — one protocol core, three runtimes: the
-// discrete-event simulator owns virtual time natively; with the Clock
-// injected, the live runtimes run either on the wall clock (production,
-// the -live campaigns) or on a Fake (deterministic CI campaigns,
-// faster-than-real soaks) with no change to protocol or transport code.
+// The point is one protocol core on three runtimes: the discrete-event
+// simulator owns virtual time natively; with the Clock injected, the
+// live runtimes run either on the wall clock (the daemon, wall-clock
+// ssbyz-cluster campaigns, the benchmark's live workloads) or on a Fake
+// (deterministic CI campaigns, faster-than-real soaks) with no change to
+// protocol or transport code.
 package clock
 
 import "time"

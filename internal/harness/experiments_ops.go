@@ -43,17 +43,19 @@ type opsCell struct {
 	errs       []string
 }
 
-// runOpsCell executes one virtual-time campaign and judges it: workload
-// committed, schedule executed, roll re-stabilized within Δstb, replay
-// probe rejected by every peer, final fleet health stabilized.
+// runOpsCell executes one virtual-time campaign and judges it with the
+// campaign verdict (ops.CampaignReport.Verdicts): schedule executed,
+// workload committed, roll re-stabilized within Δstb, replay probe
+// rejected by every peer, final fleet health stabilized, battery clean.
 func runOpsCell(n, roll int, seed int64) opsCell {
 	var c opsCell
 	fail := func(format string, args ...any) {
 		c.violations++
 		c.errs = append(c.errs, fmt.Sprintf("ops n=%d seed=%d: %s", n, seed, fmt.Sprintf(format, args...)))
 	}
+	spec := ops.QuickSpec(n, roll, liveD, seed)
 	rep, err := ops.RunCampaign(ops.CampaignConfig{
-		Spec:  ops.QuickSpec(n, roll, liveD, seed),
+		Spec:  spec,
 		Tick:  liveTick,
 		Clock: clock.NewFake(time.Time{}),
 	})
@@ -63,26 +65,11 @@ func runOpsCell(n, roll int, seed int64) opsCell {
 	}
 	c.committed = rep.Committed
 	c.canon = rep.Canonical()
-	if rep.Committed == 0 || rep.Failed != 0 || rep.Dropped != 0 {
-		fail("workload: committed=%d failed=%d dropped=%d", rep.Committed, rep.Failed, rep.Dropped)
+	if len(rep.Rolls) > 0 {
+		c.restab, c.replayPeer = rep.Rolls[0].RestabTicks, rep.Rolls[0].EpochDropPeers
 	}
-	if len(rep.Scales) != 1 || len(rep.Rolls) != 1 {
-		fail("schedule executed %d scales and %d rolls, want 1+1", len(rep.Scales), len(rep.Rolls))
-		return c
-	}
-	rr := rep.Rolls[0]
-	c.restab, c.replayPeer = rr.RestabTicks, rr.EpochDropPeers
-	if rr.RestabTicks < 0 || !rr.WithinDeltaStb {
-		fail("rolled node %d did not re-stabilize within Δstb=%d (restab=%d)",
-			rr.Node, rep.Params.DeltaStb(), rr.RestabTicks)
-	}
-	if rr.EpochDropPeers != n-1 {
-		fail("old-incarnation replay rejected by %d/%d peers", rr.EpochDropPeers, n-1)
-	}
-	for id, st := range rep.Health {
-		if st != ops.StateStabilized {
-			fail("final health[%d] = %q", id, st)
-		}
+	for _, e := range rep.Verdicts(spec) {
+		fail("%s", e)
 	}
 	return c
 }

@@ -43,28 +43,44 @@ func (b *NetBackend) Initiate(slot int, v protocol.Value) error {
 	return err
 }
 
-// InjectFault corrupts the RUNNING protocol state in place (POST /fault):
-// arbitrary-state placement plus a phantom mark under the highest
-// committee id, which the protocol must sweep within Δstb = 2Δreset.
+// InjectFault corrupts the RUNNING protocol state in place (POST /fault).
 func (b *NetBackend) InjectFault(seed int64, severityPermille, inFlight int) error {
-	pp := b.NN.Params()
-	markG := protocol.NodeID(pp.N - 1)
 	injected := false
 	b.NN.DoWait(func(n protocol.Node) {
-		cn, ok := n.(*core.Node)
-		if !ok {
-			return
-		}
-		transient.CorruptRunning(cn, pp, transient.Config{
-			Seed:     seed,
-			Severity: float64(severityPermille) / 1000,
-			InFlight: inFlight,
-			Marks:    []protocol.NodeID{markG},
-		}, b.NN.Now())
-		injected = true
+		injected = corruptRunning(n, b.NN.Params(), b.NN.Now(), seed, severityPermille, inFlight)
 	})
 	if !injected {
 		return fmt.Errorf("ops: node %d does not run a corruptible core node", b.NN.ID())
 	}
 	return nil
+}
+
+// faultSlot is InjectFault on slot id of an in-process cluster: the
+// campaign's OpFault step.
+func faultSlot(c *nettrans.Cluster, id protocol.NodeID, seed int64, severityPermille, inFlight int) error {
+	injected := false
+	c.DoWait(id, func(n protocol.Node) {
+		injected = corruptRunning(n, c.Params(), simtime.Local(c.NowTicks()), seed, severityPermille, inFlight)
+	})
+	if !injected {
+		return fmt.Errorf("ops: node %d is down or does not run a corruptible core node", id)
+	}
+	return nil
+}
+
+// corruptRunning is the transient fault, run inside n's event loop:
+// arbitrary-state placement plus a phantom mark under the highest
+// committee id, which the protocol must sweep within Δstb = 2Δreset. It
+// reports false when n is not a core node.
+func corruptRunning(n protocol.Node, pp protocol.Params, now simtime.Local, seed int64, severityPermille, inFlight int) bool {
+	cn, ok := n.(*core.Node)
+	if ok {
+		transient.CorruptRunning(cn, pp, transient.Config{
+			Seed:     seed,
+			Severity: float64(severityPermille) / 1000,
+			InFlight: inFlight,
+			Marks:    []protocol.NodeID{protocol.NodeID(pp.N - 1)},
+		}, now)
+	}
+	return ok
 }

@@ -43,13 +43,15 @@ type CampaignConfig struct {
 // and core.ErrBackoff, for the pump to re-poll. Roll stops a running
 // slot, raises its incarnation on every running peer, reboots it, and
 // offers each peer one frame from the old incarnation (the replay
-// probe); it returns the new incarnation.
+// probe); it returns the new incarnation. Fault corrupts a running
+// slot's protocol state in place at severity faultSeverity.
 type CampaignFleet interface {
 	service.Backend
 	Now() simtime.Real                                // fleet clock, ticks since the epoch
 	Running() []protocol.NodeID                       // running slots, ascending
 	Start(id protocol.NodeID) error                   // boot a slot held back (scale-up)
 	Roll(id protocol.NodeID) (uint64, error)          // replace a running slot
+	Fault(id protocol.NodeID, seed int64) error       // corrupt a running slot in place
 	Stats(id protocol.NodeID) (nettrans.Stats, error) // one running slot's counters
 	Recorder() *protocol.Recorder                     // the trace, as far as Sync collected it
 	Sync() error                                      // collect every running slot's new trace
@@ -77,6 +79,20 @@ type RollReport struct {
 	EpochDropPeers int `json:"epoch_drop_peers"`
 }
 
+// faultSeverity is an OpFault's corruption severity in permille: every
+// corruption class fires.
+const faultSeverity = 1000
+
+// FaultReport is one executed in-situ fault and its verdict.
+type FaultReport struct {
+	Node int   `json:"node"`
+	At   int64 `json:"at"` // tick the fault was injected
+	// RestabTicks is the observed re-stabilization time, as for a roll:
+	// first decide by the node after the fault (-1 if never observed).
+	RestabTicks    int64 `json:"restab_ticks"`
+	WithinDeltaStb bool  `json:"within_delta_stb"`
+}
+
 // CampaignReport is a finished campaign.
 type CampaignReport struct {
 	Params    protocol.Params
@@ -88,6 +104,7 @@ type CampaignReport struct {
 	Backoffs int
 	Scales   []ScaleReport
 	Rolls    []RollReport
+	Faults   []FaultReport `json:",omitempty"`
 	// Health is every slot's final health state, indexed by node id,
 	// derived by replaying the canonical (sorted) trace through each
 	// node's Control — deterministic under virtual time.
@@ -96,8 +113,11 @@ type CampaignReport struct {
 	EventCounts map[string]int
 	Stats       nettrans.Stats
 	Horizon     int64 // the campaign's extent in ticks
-	// Result is the shaped trace, for callers that want the battery.
+	// Result is the shaped trace; its correct set is the spec's Steady
+	// nodes, the ones the battery judges.
 	Result *sim.Result `json:"-"`
+	// Logs are the pump's replicated logs, the battery's other input.
+	Logs []*service.LogResult `json:"-"`
 }
 
 // clusterFleet is the in-process CampaignFleet over a nettrans.Cluster.
@@ -109,6 +129,9 @@ func (f clusterFleet) Now() simtime.Real              { return f.C.NowTicks() }
 func (f clusterFleet) Start(id protocol.NodeID) error { return f.C.StartNode(id) }
 func (f clusterFleet) Stats(id protocol.NodeID) (nettrans.Stats, error) {
 	return f.C.NodeStats(id), nil
+}
+func (f clusterFleet) Fault(id protocol.NodeID, seed int64) error {
+	return faultSlot(f.C, id, seed, faultSeverity, 0)
 }
 func (f clusterFleet) Recorder() *protocol.Recorder { return f.C.Recorder() }
 func (f clusterFleet) Sync() error                  { return nil } // the recorder is shared
@@ -258,6 +281,11 @@ func runCampaign(cfg CampaignConfig, fleet CampaignFleet) (*CampaignReport, erro
 			}
 			report.Rolls = append(report.Rolls, RollReport{Node: st.Node, At: int64(now), Incarnation: inc, RestabTicks: -1})
 			drops = append(drops, before)
+		case OpFault:
+			if err := fleet.Fault(id, spec.Seed); err != nil {
+				return fmt.Errorf("ops: fault step: %w", err)
+			}
+			report.Faults = append(report.Faults, FaultReport{Node: st.Node, At: int64(now), RestabTicks: -1})
 		}
 		return nil
 	}
@@ -278,11 +306,12 @@ func runCampaign(cfg CampaignConfig, fleet CampaignFleet) (*CampaignReport, erro
 			return nil, err
 		}
 		pump.Step(now)
-		settled := judgeRolls(fleet, report.Rolls, drops, now, pp)
+		settled := judgeSteps(fleet, report, drops, now, pp)
 
 		// The drain gate, on the schedule's last step: schedule exhausted
-		// up to the drain, workload committed, every roll re-stabilized (or
-		// its budget blown — the report carries the verdict either way).
+		// up to the drain, workload committed, every roll and fault
+		// re-stabilized (or its budget blown — the report carries the
+		// verdict either way).
 		if len(steps) > 0 && steps[0].Op == OpDrain && simtime.Real(steps[0].At) <= now &&
 			pump.Idle() && settled {
 			break
@@ -302,22 +331,22 @@ func runCampaign(cfg CampaignConfig, fleet CampaignFleet) (*CampaignReport, erro
 	if err := fleet.Sync(); err != nil {
 		return nil, err
 	}
-	judgeRolls(fleet, report.Rolls, drops, fleet.Now(), pp)
+	judgeSteps(fleet, report, drops, fleet.Now(), pp)
 
 	report.Horizon = int64(fleet.Now())
 	report.Backoffs = backend.episodes
-	for _, lr := range pump.Results() {
+	report.Logs = pump.Results()
+	for _, lr := range report.Logs {
 		report.Committed += len(lr.Committed)
 		report.Dropped += lr.Dropped
 		report.Failed += lr.Failed
 	}
-	running := fleet.Running()
-	report.Result = nettrans.BuildResult(pp, fleet.Recorder().Events(), running, simtime.Duration(report.Horizon)+1)
+	report.Result = nettrans.BuildResult(pp, fleet.Recorder().Events(), spec.Steady(), simtime.Duration(report.Horizon)+1)
 	frozen := make([]*frozenBackend, pp.N)
 	for i := range frozen {
 		frozen[i] = &frozenBackend{id: protocol.NodeID(i), pp: pp, now: fleet.Now()}
 	}
-	for _, id := range running {
+	for _, id := range fleet.Running() {
 		st, err := fleet.Stats(id)
 		if err != nil {
 			return nil, err
@@ -355,39 +384,93 @@ func (r *CampaignReport) Canonical() []byte {
 	return blob
 }
 
-// judgeRolls updates the rolls' verdicts against the trace and
-// counters: re-stabilization is the first decide by the replacement
-// after the roll (order-insensitive recorder query, so virtual runs stay
+// judgeSteps updates the roll and fault verdicts against the trace and
+// counters: re-stabilization is the node's first decide after the step
+// (order-insensitive recorder query, so virtual runs stay
 // deterministic), replay rejection an EpochDrops rise at each probed
 // peer (a failed scrape reads as not yet). It reports whether every roll
-// has settled: re-stabilized, or out of its Δstb budget (the report then
-// carries the failure).
-func judgeRolls(fleet CampaignFleet, rolls []RollReport, drops []map[protocol.NodeID]int64, now simtime.Real, pp protocol.Params) bool {
+// and fault has settled: re-stabilized, or out of its Δstb budget (the
+// report then carries the failure).
+func judgeSteps(fleet CampaignFleet, report *CampaignReport, drops []map[protocol.NodeID]int64, now simtime.Real, pp protocol.Params) bool {
 	settled := true
-	for i := range rolls {
-		rr := &rolls[i]
-		if rr.RestabTicks < 0 {
+	restab := func(node int, at int64, ticks *int64, within *bool) {
+		if *ticks < 0 {
 			first := simtime.Real(-1)
 			fleet.Recorder().ForEachKind(func(ev protocol.TraceEvent) {
-				if ev.Node == protocol.NodeID(rr.Node) && ev.RT >= simtime.Real(rr.At) &&
+				if ev.Node == protocol.NodeID(node) && ev.RT >= simtime.Real(at) &&
 					(first < 0 || ev.RT < first) {
 					first = ev.RT
 				}
 			}, protocol.EvDecide)
 			if first >= 0 {
-				rr.RestabTicks = int64(first) - rr.At
-				rr.WithinDeltaStb = simtime.Duration(rr.RestabTicks) <= pp.DeltaStb()
+				*ticks = int64(first) - at
+				*within = simtime.Duration(*ticks) <= pp.DeltaStb()
 			}
 		}
+		settled = settled && (*ticks >= 0 || simtime.Duration(int64(now)-at) > pp.DeltaStb())
+	}
+	for i := range report.Rolls {
+		rr := &report.Rolls[i]
+		restab(rr.Node, rr.At, &rr.RestabTicks, &rr.WithinDeltaStb)
 		for peer, before := range drops[i] {
 			if st, err := fleet.Stats(peer); err == nil && st.EpochDrops > before {
 				rr.EpochDropPeers++
 				delete(drops[i], peer)
 			}
 		}
-		settled = settled && (rr.RestabTicks >= 0 || simtime.Duration(int64(now)-rr.At) > pp.DeltaStb())
+	}
+	for i := range report.Faults {
+		fr := &report.Faults[i]
+		restab(fr.Node, fr.At, &fr.RestabTicks, &fr.WithinDeltaStb)
 	}
 	return settled
+}
+
+// Verdicts judges a finished campaign against its spec and returns one
+// line per failed verdict (none when the campaign passed): every scale,
+// roll and fault step executed; the workload committed; every roll and
+// fault re-stabilized within Δstb, every roll's replay rejected by all
+// peers; final fleet health stabilized; and the property battery clean
+// over the pump's logs, judged at the Steady nodes.
+func (r *CampaignReport) Verdicts(spec ClusterSpec) []string {
+	var errs []string
+	steps := make(map[string]int)
+	for _, st := range spec.Steps {
+		steps[st.Op]++
+	}
+	if len(r.Scales) != steps[OpScale] || len(r.Rolls) != steps[OpRoll] || len(r.Faults) != steps[OpFault] {
+		errs = append(errs, fmt.Sprintf("membership: %d scales, %d rolls and %d faults executed, the spec has %d, %d and %d",
+			len(r.Scales), len(r.Rolls), len(r.Faults), steps[OpScale], steps[OpRoll], steps[OpFault]))
+	}
+	if r.Committed == 0 || r.Failed != 0 || r.Dropped != 0 {
+		errs = append(errs, fmt.Sprintf("workload: committed=%d failed=%d dropped=%d",
+			r.Committed, r.Failed, r.Dropped))
+	}
+	for _, rr := range r.Rolls {
+		if rr.RestabTicks < 0 || !rr.WithinDeltaStb {
+			errs = append(errs, fmt.Sprintf("roll of node %d missed the Δstb=%d budget (restab=%d)",
+				rr.Node, r.Params.DeltaStb(), rr.RestabTicks))
+		}
+		if rr.EpochDropPeers != r.Params.N-1 {
+			errs = append(errs, fmt.Sprintf("old-incarnation replay rejected by %d/%d peers",
+				rr.EpochDropPeers, r.Params.N-1))
+		}
+	}
+	for _, fr := range r.Faults {
+		if fr.RestabTicks < 0 || !fr.WithinDeltaStb {
+			errs = append(errs, fmt.Sprintf("fault of node %d missed the Δstb=%d budget (restab=%d)",
+				fr.Node, r.Params.DeltaStb(), fr.RestabTicks))
+		}
+	}
+	for id, st := range r.Health {
+		if st != StateStabilized {
+			errs = append(errs, fmt.Sprintf("final health[%d] = %q", id, st))
+		}
+	}
+	for _, v := range service.Battery(r.Result, r.Logs) {
+		errs = append(errs, "battery: "+v.String())
+	}
+	return errs
 }
 
 // ReplayProbe forges a protocol frame stamped with the given wire epoch

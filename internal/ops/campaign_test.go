@@ -2,11 +2,14 @@ package ops
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"ssbyz/internal/clock"
 	"ssbyz/internal/core"
+	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
 )
@@ -149,5 +152,37 @@ func TestBackoffCounterCountsEpisodes(t *testing.T) {
 	}
 	if b.episodes != 2 {
 		t.Fatalf("episodes = %d, want 2", b.episodes)
+	}
+}
+
+// TestCampaignBatteryJudgesSteadyNodes: the campaign verdict runs the
+// property battery over the pump's logs at the nodes no step touches.
+// Over the canonical schedule it is clean; counting every node correct
+// instead must fail it, because the scaled slot is absent for the first
+// entries and so never returns from them.
+func TestCampaignBatteryJudgesSteadyNodes(t *testing.T) {
+	for _, n := range []int{4, 7} {
+		for _, sessions := range []int{1, 3} {
+			for seed := int64(1); seed <= 2; seed++ {
+				spec := QuickSpec(n, 2, 250, seed)
+				spec.Sessions = sessions
+				rep, err := RunCampaign(CampaignConfig{Spec: spec, Clock: clock.NewFake(time.Time{})})
+				if err != nil {
+					t.Fatalf("n=%d sessions=%d seed=%d: %v", n, sessions, seed, err)
+				}
+				if errs := rep.Verdicts(spec); len(errs) > 0 {
+					t.Fatalf("n=%d sessions=%d seed=%d: verdicts failed: %v", n, sessions, seed, errs)
+				}
+				all := make([]protocol.NodeID, n)
+				for i := range all {
+					all[i] = protocol.NodeID(i)
+				}
+				rep.Result = nettrans.BuildResult(rep.Params, rep.Result.Rec.Events(), all, rep.Result.Scenario.RunFor)
+				if !slices.ContainsFunc(rep.Verdicts(spec), func(e string) bool { return strings.HasPrefix(e, "battery: ") }) {
+					t.Errorf("n=%d sessions=%d seed=%d: the battery passed with the scaled and rolled nodes counted correct",
+						n, sessions, seed)
+				}
+			}
+		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // Client is the orchestrator's HTTP side of the control plane: thin
-// typed wrappers over the daemon endpoints the multi-process drivers
-// use (ssbyz-cluster -procs through the REST fleet, ssbyz-bench -cluster
-// -procs): initiate, fault, metrics, trace, roll, and drain.
+// typed wrappers over the daemon endpoints the REST fleet drives
+// (ssbyz-cluster -procs): initiate, fault, metrics, trace, roll, and
+// drain.
 type Client struct {
 	base string
 	http *http.Client

@@ -20,9 +20,8 @@ import (
 const epochLead = 750 * time.Millisecond
 
 // Fleet launches ssbyz-node daemons on loopback from one generated
-// manifest and reaches each over its REST ops plane. It is the one
-// process launcher of the multi-process drivers: the Launcher behind
-// ssbyz-cluster -procs's REST fleet, and ssbyz-bench -cluster -procs.
+// manifest and reaches each over its REST ops plane. It is the process
+// Launcher behind ssbyz-cluster -procs's REST fleet.
 type Fleet struct {
 	nodeBin  string
 	manifest string
@@ -203,13 +202,6 @@ func (fl *Fleet) Probe(from, to int, incarnation uint64) error {
 
 // NowTicks is the wall clock read in manifest ticks since the epoch.
 func (fl *Fleet) NowTicks() int64 { return int64(time.Since(fl.epoch) / fl.tick) }
-
-// SleepUntilTick blocks until the given tick's wall instant.
-func (fl *Fleet) SleepUntilTick(at int64) {
-	if wait := time.Until(fl.epoch.Add(time.Duration(at) * fl.tick)); wait > 0 {
-		time.Sleep(wait)
-	}
-}
 
 // awaitFile polls for a non-empty file and returns its trimmed content.
 func awaitFile(path string, timeout time.Duration) (string, error) {

@@ -453,6 +453,10 @@ func TestSpecValidation(t *testing.T) {
 			s.Steps = append([]Step{{Op: OpScale, Node: 3, At: 0}}, s.Steps...)
 		}},
 		{"unknown op", func(s *ClusterSpec) { s.Steps[0].Op = "reboot" }},
+		{"fault before its scale", func(s *ClusterSpec) {
+			s.Steps = append([]Step{{Op: OpFault, Node: 3, At: 0}}, s.Steps...)
+		}},
+		{"fault of the General", func(s *ClusterSpec) { s.Steps[1] = Step{Op: OpFault, Node: 0, At: s.Steps[1].At} }},
 		{"too many scale targets", func(s *ClusterSpec) {
 			s.Steps = append([]Step{{Op: OpScale, Node: 1, At: 0}}, s.Steps...)
 		}},

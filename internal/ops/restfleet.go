@@ -70,6 +70,11 @@ func (f *restFleet) Initiate(g protocol.NodeID, slots []int, v protocol.Value) (
 	return slots[0], v, f.client(g).Initiate(slots[0], string(v))
 }
 
+// Fault posts /fault: the daemon corrupts its running state in place.
+func (f *restFleet) Fault(id protocol.NodeID, seed int64) error {
+	return f.client(id).Fault(seed, faultSeverity)
+}
+
 // Stats reads the slot's /metrics counters back into nettrans.Stats.
 func (f *restFleet) Stats(id protocol.NodeID) (nettrans.Stats, error) {
 	m, err := f.client(id).Metrics()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ssbyz/internal/clock"
+	"ssbyz/internal/core"
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
@@ -45,8 +46,8 @@ func (b *slotBackend) Initiate(slot int, v protocol.Value) error {
 	_, _, err := b.c.Initiate(b.id, slot, v)
 	return err
 }
-func (b *slotBackend) InjectFault(int64, int, int) error {
-	return fmt.Errorf("slot backends do not inject faults")
+func (b *slotBackend) InjectFault(seed int64, severityPermille, inFlight int) error {
+	return faultSlot(b.c, b.id, seed, severityPermille, inFlight)
 }
 func (b *slotBackend) TraceEvents() []protocol.TraceEvent {
 	return b.c.Recorder().Filter(func(ev protocol.TraceEvent) bool { return ev.Node == b.id })[b.skip:]
@@ -169,5 +170,49 @@ func TestCampaignRESTVirtual(t *testing.T) {
 	}
 	if !bytes.Equal(runRESTCampaign(t, mid).Canonical(), in.Canonical()) {
 		t.Fatal("REST campaign with a roll at 5d differs from the in-process one")
+	}
+}
+
+// TestCampaignFaultRESTVirtual: an in-situ fault step corrupts node 2 in
+// place — through its event loop in process, over POST /fault on the
+// REST fleet — and every verdict holds: the node re-stabilizes within
+// Δstb and the battery is clean at the other nodes. Both fleets give the
+// same canonical bytes, and they differ from the same campaign without
+// the fault, so the REST daemon really injected it.
+func TestCampaignFaultRESTVirtual(t *testing.T) {
+	spec := QuickSpec(4, 2, 250, 7)
+	spec.Steps = []Step{{Op: OpFault, Node: 2, At: 10 * 250}, {Op: OpDrain, At: 10 * 250}}
+	in, err := RunCampaign(CampaignConfig{Spec: spec, Clock: clock.NewFake(time.Time{})})
+	if err != nil {
+		t.Fatalf("in-process campaign: %v", err)
+	}
+	if errs := in.Verdicts(spec); len(errs) > 0 {
+		t.Fatalf("fault campaign verdicts failed: %v", errs)
+	}
+	if len(in.Faults) != 1 || in.Faults[0].Node != 2 || in.Faults[0].RestabTicks < 0 {
+		t.Fatalf("faults = %+v", in.Faults)
+	}
+	t.Logf("fault of node 2 at tick %d re-stabilized in %d ticks (Δstb %d)",
+		in.Faults[0].At, in.Faults[0].RestabTicks, in.Params.DeltaStb())
+	rest := runRESTCampaign(t, spec)
+	if !bytes.Equal(rest.Canonical(), in.Canonical()) {
+		t.Fatal("REST fault campaign differs from the in-process one")
+	}
+
+	// POST /fault plants the phantom mark the protocol must sweep.
+	fake := clock.NewFake(time.Time{})
+	l := newVirtualLauncher(t, spec, fake)
+	fleet, err := NewRESTFleet(l, spec)
+	if err != nil {
+		t.Fatalf("REST fleet: %v", err)
+	}
+	defer fleet.Close()
+	if err := fleet.Fault(2, spec.Seed); err != nil {
+		t.Fatalf("POST /fault: %v", err)
+	}
+	marked := false
+	l.c.DoWait(2, func(n protocol.Node) { marked, _, _ = n.(*core.Node).Result(3) })
+	if !marked {
+		t.Fatal("POST /fault left no phantom mark on node 2")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
@@ -11,7 +12,8 @@ import (
 )
 
 // Step ops. A campaign is boot (implicit: every non-scale slot), then
-// any number of scale/roll steps at scheduled ticks, then one drain.
+// any number of scale/roll/fault steps at scheduled ticks, then one
+// drain.
 const (
 	// OpScale boots a slot that was held absent at cluster start — the
 	// orchestrator's scale-up.
@@ -20,6 +22,11 @@ const (
 	// every peer, reboot. The campaign asserts re-stabilization within
 	// Δstb = 2Δreset and that the old incarnation's frames are rejected.
 	OpRoll = "roll"
+	// OpFault corrupts a running node's protocol state in place — the
+	// transient fault of POST /fault, seeded by the spec's Seed at
+	// severity 1000‰. It is judged like a roll: re-stabilization within
+	// Δstb.
+	OpFault = "fault"
 	// OpDrain ends the campaign: once traffic has drained and every roll
 	// has re-stabilized, stop the fleet.
 	OpDrain = "drain"
@@ -27,9 +34,9 @@ const (
 
 // Step is one scheduled membership operation.
 type Step struct {
-	// Op is OpScale, OpRoll, or OpDrain.
+	// Op is OpScale, OpRoll, OpFault, or OpDrain.
 	Op string `json:"op"`
-	// Node is the scale/roll target (ignored for drain).
+	// Node is the scale/roll/fault target (ignored for drain).
 	Node int `json:"node,omitempty"`
 	// At is the step's tick since the cluster epoch. Steps execute at
 	// quiescent points, so under virtual time the schedule is exact and
@@ -78,11 +85,14 @@ func (s ClusterSpec) Validate() error {
 		}
 		prevAt = st.At
 		switch st.Op {
-		case OpScale, OpRoll:
+		case OpScale, OpRoll, OpFault:
 			if st.Node <= 0 || st.Node >= pp.N {
 				// Node 0 is the traffic General the service pump drives; it
-				// must stay up, so membership ops target [1, n).
+				// must stay correct, so membership ops target [1, n).
 				return fmt.Errorf("%w: %s of node %d outside [1,%d)", nettrans.ErrBadManifest, st.Op, st.Node, pp.N)
+			}
+			if st.Op != OpScale && !scaled[st.Node] && slices.Contains(s.ScaleTargets(), protocol.NodeID(st.Node)) {
+				return fmt.Errorf("%w: %s of node %d before its scale step", nettrans.ErrBadManifest, st.Op, st.Node)
 			}
 			if st.Op == OpScale {
 				if scaled[st.Node] {
@@ -116,9 +126,10 @@ func (s ClusterSpec) ScaleTargets() []protocol.NodeID {
 	return out
 }
 
-// Window is one membership step's non-correct interval [From, To) in
-// ticks. A node counts as correct only Δnode after it starts running
-// the protocol; a scaled slot is absent (a crash fault) until its step.
+// Window is one step's non-correct interval [From, To) in ticks. A node
+// counts as correct only Δnode after it starts running the protocol
+// from a clean or corrupted state (a roll or a fault); a scaled slot is
+// absent (a crash fault) until its step.
 type Window struct {
 	Op       string
 	Node     int
@@ -141,7 +152,7 @@ func (s ClusterSpec) FaultBudget() FaultBudget {
 	pp := s.Manifest.Params()
 	b := FaultBudget{F: int64(pp.F), D: int64(pp.D)}
 	for _, st := range s.Steps {
-		if st.Op == OpScale || st.Op == OpRoll {
+		if st.Op != OpDrain {
 			w := Window{st.Op, st.Node, st.At, st.At + int64(pp.DeltaNode())}
 			if st.Op == OpScale {
 				w.From = 0
@@ -169,6 +180,22 @@ func (s ClusterSpec) FaultBudget() FaultBudget {
 	return b
 }
 
+// Steady lists the slots no step touches, ascending: the nodes correct
+// for the whole campaign, which the battery judges.
+func (s ClusterSpec) Steady() []protocol.NodeID {
+	touched := make(map[int]bool)
+	for _, w := range s.FaultBudget().Windows {
+		touched[w.Node] = true
+	}
+	var out []protocol.NodeID
+	for id := 0; id < s.Manifest.N; id++ {
+		if !touched[id] {
+			out = append(out, protocol.NodeID(id))
+		}
+	}
+	return out
+}
+
 // Span renders [from, to) in units of d.
 func (b FaultBudget) Span(from, to int64) string {
 	return fmt.Sprintf("[%gd, %gd)", float64(from)/float64(b.D), float64(to)/float64(b.D))
@@ -178,6 +205,9 @@ func (b FaultBudget) String() string {
 	verdict := "outside"
 	if int64(b.Peak) <= b.F {
 		verdict = "inside"
+	}
+	if b.Peak == 0 {
+		return fmt.Sprintf("0 non-correct nodes against f = %d: schedule inside the model", b.F)
 	}
 	return fmt.Sprintf("%d non-correct nodes in %s against f = %d: schedule %s the model",
 		b.Peak, b.Span(b.PeakFrom, b.PeakTo), b.F, verdict)
