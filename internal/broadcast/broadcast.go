@@ -18,6 +18,9 @@
 package broadcast
 
 import (
+	"cmp"
+	"slices"
+
 	"ssbyz/internal/msglog"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
@@ -33,10 +36,13 @@ type triple struct {
 // AcceptFn is called when the node accepts (p, m, k).
 type AcceptFn func(p protocol.NodeID, m protocol.Value, k int)
 
-// tripleState consolidates every per-triple flag into a single map entry,
-// so the fixed-point evaluator touches one hash per triple per pass
-// instead of one per flag (the message-processing hot path, DESIGN.md §5).
+// tripleState consolidates every per-triple flag and the reception windows
+// of the triple's four message classes into a single map entry, so the
+// fixed-point evaluator touches one hash per triple per message instead
+// of one per flag or message class (the message-processing hot path,
+// DESIGN.md §5).
 type tripleState struct {
+	tr            triple
 	sentEcho      bool
 	sentInitPrime bool
 	sentEchoPrime bool
@@ -53,9 +59,29 @@ type tripleState struct {
 	acceptedAt simtime.Local
 	// inAct marks membership of the active iteration list (s.act).
 	inAct bool
-	// Cached key resolutions for the triple's four message classes, so
-	// the per-message evaluation does not re-hash the full msglog.Key.
-	hInit, hEcho, hInitPrime, hEchoPrime msglog.Handle
+	// The reception records of (init|echo|init′|echo′, p, m, k).
+	init, echo, initPrime, echoPrime msglog.Window
+}
+
+// window picks the reception window of a message kind; kinds outside the
+// primitive's four have none.
+func (st *tripleState) window(kind protocol.MsgKind) *msglog.Window {
+	switch kind {
+	case protocol.Init:
+		return &st.init
+	case protocol.Echo:
+		return &st.echo
+	case protocol.InitPrime:
+		return &st.initPrime
+	case protocol.EchoPrime:
+		return &st.echoPrime
+	}
+	return nil
+}
+
+// windows lists the triple's four reception windows.
+func (st *tripleState) windows() []*msglog.Window {
+	return []*msglog.Window{&st.init, &st.echo, &st.initPrime, &st.echoPrime}
 }
 
 // Session is one node's msgd-broadcast state for the agreement instance of
@@ -67,7 +93,8 @@ type Session struct {
 	g  protocol.NodeID
 	pp protocol.Params
 
-	log *msglog.Log
+	// seq stamps each reception window's first record (msglog.Window).
+	seq uint64
 
 	anchored bool
 	tauG     simtime.Local
@@ -75,9 +102,9 @@ type Session struct {
 	states map[triple]*tripleState
 	// act lists the triples the evaluator iterates, in first-seen order
 	// (deterministic). It is appended to as messages arrive and rebuilt
-	// from the log on Cleanup/Reset, so settled or decayed triples stop
-	// costing evaluator passes.
-	act []triple
+	// from the surviving records on Cleanup/Reset, so settled or decayed
+	// triples stop costing evaluator passes.
+	act []*tripleState
 	// byP caches the latest triple resolution per broadcasting node p.
 	// During one agreement almost every message for p carries the same
 	// (m, k), so the per-arrival states-map hash collapses to an indexed
@@ -108,7 +135,6 @@ func NewSession(rt protocol.Runtime, g protocol.NodeID, onAccept AcceptFn) *Sess
 		rt:           rt,
 		g:            g,
 		pp:           pp,
-		log:          msglog.New(pp.Wrap),
 		states:       make(map[triple]*tripleState),
 		byP:          make([]cachedTriple, pp.N),
 		broadcasters: make([]uint64, (pp.N+63)/64),
@@ -174,25 +200,14 @@ func (s *Session) note(tr triple) *tripleState {
 			st := cache.st
 			if !st.inAct {
 				st.inAct = true
-				s.act = append(s.act, tr)
+				s.act = append(s.act, st)
 			}
 			return st
 		}
 	}
 	st, ok := s.states[tr]
 	if !ok {
-		key := func(kind protocol.MsgKind) msglog.Key {
-			return msglog.Key{Kind: kind, G: s.g, M: tr.M, P: tr.P, K: tr.K}
-		}
-		// The echo-class keys collect up to n distinct senders each;
-		// presizing them skips the append-growth copies (init keys hold
-		// only p's own record).
-		st = &tripleState{
-			hInit:      s.log.NewHandle(key(protocol.Init)),
-			hEcho:      s.log.NewHandleSized(key(protocol.Echo), s.pp.N),
-			hInitPrime: s.log.NewHandleSized(key(protocol.InitPrime), s.pp.N),
-			hEchoPrime: s.log.NewHandleSized(key(protocol.EchoPrime), s.pp.N),
-		}
+		st = &tripleState{tr: tr}
 		s.states[tr] = st
 	}
 	if cache != nil {
@@ -200,9 +215,20 @@ func (s *Session) note(tr triple) *tripleState {
 	}
 	if !st.inAct {
 		st.inAct = true
-		s.act = append(s.act, tr)
+		s.act = append(s.act, st)
 	}
 	return st
+}
+
+// record logs sender's kind message for st at local time at. The echo
+// classes collect up to n distinct senders each; presizing them skips the
+// append-growth copies (init holds only p's own record).
+func (s *Session) record(st *tripleState, kind protocol.MsgKind, sender protocol.NodeID, at simtime.Local) {
+	hint := s.pp.N
+	if kind == protocol.Init {
+		hint = 0
+	}
+	st.window(kind).Record(sender, at, hint, s.pp.Wrap, &s.seq)
 }
 
 // dropTripleCache forgets every byP resolution; called whenever states-map
@@ -210,20 +236,6 @@ func (s *Session) note(tr triple) *tripleState {
 func (s *Session) dropTripleCache() {
 	for i := range s.byP {
 		s.byP[i] = cachedTriple{}
-	}
-}
-
-// handleFor picks the cached handle matching a message kind.
-func (st *tripleState) handleFor(kind protocol.MsgKind) *msglog.Handle {
-	switch kind {
-	case protocol.Init:
-		return &st.hInit
-	case protocol.Echo:
-		return &st.hEcho
-	case protocol.InitPrime:
-		return &st.hInitPrime
-	default:
-		return &st.hEchoPrime
 	}
 }
 
@@ -245,14 +257,13 @@ func (s *Session) OnMessage(from protocol.NodeID, m protocol.Message) {
 	default:
 		return
 	}
-	tr := triple{P: m.P, M: m.M, K: m.K}
-	st := s.note(tr)
-	s.log.RecordVia(st.handleFor(m.Kind), from, now)
-	// Only tr's own conditions can newly hold: counts are keyed by the
-	// exact (p, m, k) and the phase windows only ever close with time, so
-	// re-evaluation is scoped to the affected triple (DESIGN.md §5).
+	st := s.note(triple{P: m.P, M: m.M, K: m.K})
+	s.record(st, m.Kind, from, now)
+	// Only the triple's own conditions can newly hold: counts are keyed by
+	// the exact (p, m, k) and the phase windows only ever close with time,
+	// so re-evaluation is scoped to the affected triple (DESIGN.md §5).
 	if s.anchored {
-		s.evalTriple(tr, st, now)
+		s.evalTriple(st, now)
 	}
 }
 
@@ -276,15 +287,15 @@ func (s *Session) evaluate(now simtime.Local) {
 	if !s.anchored {
 		return
 	}
-	for _, tr := range s.act {
-		s.evalTriple(tr, s.states[tr], now)
+	for _, st := range s.act {
+		s.evalTriple(st, now)
 	}
 }
 
 // evalTriple runs blocks W–Z for one triple to a fixed point.
-func (s *Session) evalTriple(tr triple, st *tripleState, now simtime.Local) {
+func (s *Session) evalTriple(st *tripleState, now simtime.Local) {
 	for iter := 0; iter < 6; iter++ {
-		if !s.tryTriple(tr, st, now) {
+		if !s.tryTriple(st, now) {
 			return
 		}
 	}
@@ -292,13 +303,14 @@ func (s *Session) evalTriple(tr triple, st *tripleState, now simtime.Local) {
 
 // tryTriple evaluates all blocks for one (p, m, k).
 //
-// Each block's window query now sits behind an O(1) incremental-count
-// guard (msglog.LenVia, the live record count of the key): a threshold of
+// Each block's window query sits behind an O(1) incremental-count guard
+// (msglog.Window.Len, the live record count of the class): a threshold of
 // c distinct senders cannot hold while fewer than c records exist at all,
 // so below-threshold arrivals — the bulk of a broadcast wave — conclude in
 // constant time, and the binary searches run only in the narrow band where
 // a block could actually fire (DESIGN.md §5).
-func (s *Session) tryTriple(tr triple, st *tripleState, now simtime.Local) bool {
+func (s *Session) tryTriple(st *tripleState, now simtime.Local) bool {
+	tr, wrap := st.tr, s.pp.Wrap
 	if st.sentEcho && st.sentInitPrime && st.sentEchoPrime && st.accepted && s.isBroadcaster(tr.P) {
 		// Settled: every send fired, the acceptance fired, and p is a
 		// known broadcaster — no block can conclude anything new, so a
@@ -309,16 +321,16 @@ func (s *Session) tryTriple(tr triple, st *tripleState, now simtime.Local) bool 
 	byzQ, q := s.pp.ByzQuorum(), s.pp.Quorum()
 
 	// Block W — echo the direct init, by τG + 2k·Φ.
-	if !st.sentEcho && s.withinPhase(now, 2*tr.K) && s.log.HasVia(&st.hInit, tr.P) {
+	if !st.sentEcho && s.withinPhase(now, 2*tr.K) && st.init.Has(tr.P) {
 		st.sentEcho = true
 		s.rt.Broadcast(protocol.Message{Kind: protocol.Echo, G: s.g, M: tr.M, P: tr.P, K: tr.K})
 		changed = true
 	}
 
 	// Block X — by τG + (2k+1)·Φ.
-	if (!st.sentInitPrime || !st.accepted) && s.log.LenVia(&st.hEcho) >= byzQ &&
+	if (!st.sentInitPrime || !st.accepted) && st.echo.Len() >= byzQ &&
 		s.withinPhase(now, 2*tr.K+1) {
-		nEcho := s.log.CountWithinVia(&st.hEcho, s.maxAge(), now)
+		nEcho := st.echo.CountWithin(s.maxAge(), now, wrap)
 		if !st.sentInitPrime && nEcho >= byzQ {
 			st.sentInitPrime = true
 			s.rt.Broadcast(protocol.Message{Kind: protocol.InitPrime, G: s.g, M: tr.M, P: tr.P, K: tr.K})
@@ -330,9 +342,9 @@ func (s *Session) tryTriple(tr triple, st *tripleState, now simtime.Local) bool 
 	}
 
 	// Block Y — by τG + (2k+2)·Φ.
-	if (!st.sentEchoPrime || !s.isBroadcaster(tr.P)) && s.log.LenVia(&st.hInitPrime) >= byzQ &&
+	if (!st.sentEchoPrime || !s.isBroadcaster(tr.P)) && st.initPrime.Len() >= byzQ &&
 		s.withinPhase(now, 2*tr.K+2) {
-		nInitPrime := s.log.CountWithinVia(&st.hInitPrime, s.maxAge(), now)
+		nInitPrime := st.initPrime.CountWithin(s.maxAge(), now, wrap)
 		if nInitPrime >= byzQ && !s.isBroadcaster(tr.P) {
 			s.setBroadcaster(tr.P)
 			changed = true
@@ -345,8 +357,8 @@ func (s *Session) tryTriple(tr triple, st *tripleState, now simtime.Local) bool 
 	}
 
 	// Block Z — at any time.
-	if (!st.sentEchoPrime || !st.accepted) && s.log.LenVia(&st.hEchoPrime) >= byzQ {
-		nEchoPrime := s.log.CountWithinVia(&st.hEchoPrime, s.maxAge(), now)
+	if (!st.sentEchoPrime || !st.accepted) && st.echoPrime.Len() >= byzQ {
+		nEchoPrime := st.echoPrime.CountWithin(s.maxAge(), now, wrap)
 		if !st.sentEchoPrime && nEchoPrime >= byzQ {
 			st.sentEchoPrime = true
 			s.rt.Broadcast(protocol.Message{Kind: protocol.EchoPrime, G: s.g, M: tr.M, P: tr.P, K: tr.K})
@@ -375,28 +387,29 @@ func (s *Session) accept(tr triple, st *tripleState) bool {
 	return true
 }
 
-// rebuildAct recomputes the active-triple list from the records that
-// survive in the log, keeping first-seen order for the survivors.
-func (s *Session) rebuildAct() {
-	for _, st := range s.states {
-		st.inAct = false
-	}
-	live := s.act[:0]
-	s.log.ForEachKey(func(k msglog.Key) {
-		tr := triple{P: k.P, M: k.M, K: k.K}
-		if st := s.states[tr]; st != nil && !st.inAct {
-			st.inAct = true
-			live = append(live, tr)
-		}
-	})
-	s.act = live
-}
-
 // Cleanup decays messages and acceptance records older than (2f+3)·Φ and
-// drops settled triples from the evaluator's iteration list.
+// drops settled triples from the evaluator's iteration list. The triples
+// still holding records are relisted in the order of their oldest
+// surviving window's first record (msglog.FirstStamp), so the evaluation,
+// and with it the send order, never follows the states map's order.
 func (s *Session) Cleanup(now simtime.Local) {
-	s.log.DecayOlderThan(s.maxAge(), now)
-	s.rebuildAct()
+	maxAge, wrap := s.maxAge(), s.pp.Wrap
+	clear(s.act)
+	s.act = s.act[:0]
+	for _, st := range s.states {
+		for _, w := range st.windows() {
+			w.Decay(maxAge, now, wrap)
+		}
+		_, st.inAct = msglog.FirstStamp(st.windows())
+		if st.inAct {
+			s.act = append(s.act, st)
+		}
+	}
+	slices.SortFunc(s.act, func(a, b *tripleState) int {
+		fa, _ := msglog.FirstStamp(a.windows())
+		fb, _ := msglog.FirstStamp(b.windows())
+		return cmp.Compare(fa, fb)
+	})
 	for tr, st := range s.states {
 		if st.accepted {
 			age := s.pp.Sub(now, st.acceptedAt)
@@ -414,14 +427,17 @@ func (s *Session) Cleanup(now simtime.Local) {
 // Reset clears the session (3d after the agreement layer returned). The
 // accepted-triple dedup flags survive — see the tripleState field comment.
 func (s *Session) Reset() {
-	s.log.Clear()
 	s.anchored = false
 	s.tauG = 0
+	clear(s.act)
 	s.act = s.act[:0]
 	for tr, st := range s.states {
 		if !st.accepted {
 			delete(s.states, tr)
 			continue
+		}
+		for _, w := range st.windows() {
+			w.Clear()
 		}
 		st.sentEcho = false
 		st.sentInitPrime = false
@@ -435,11 +451,13 @@ func (s *Session) Reset() {
 	s.nBroadcaster = 0
 }
 
-// InjectRecord installs a spurious reception record (transient injector).
+// InjectRecord installs a spurious reception record of one of the four
+// broadcast kinds (transient injector); other kinds are ignored.
 func (s *Session) InjectRecord(kind protocol.MsgKind, tr protocol.Message, sender protocol.NodeID, at simtime.Local) {
-	k := msglog.Key{Kind: kind, G: s.g, M: tr.M, P: tr.P, K: tr.K}
-	s.note(triple{P: tr.P, M: tr.M, K: tr.K})
-	s.log.InjectRaw(k, sender, at)
+	st := s.note(triple{P: tr.P, M: tr.M, K: tr.K})
+	if st.window(kind) != nil {
+		s.record(st, kind, sender, at)
+	}
 }
 
 // InjectBroadcaster plants p in the broadcasters set (transient injector).

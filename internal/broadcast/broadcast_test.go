@@ -284,3 +284,33 @@ func TestTraceCarriesBroadcaster(t *testing.T) {
 		t.Error("EvAccept trace missing the broadcaster P")
 	}
 }
+
+// TestCleanupKeepsFirstRecordOrder pins the evaluator's order after a
+// Cleanup: surviving triples are evaluated in the order their surviving
+// records were first taken, not in the order the triples were first seen.
+// Triple A is seen first, but the record that made it first decays; its
+// surviving init arrived after B's, so B's echo goes out first.
+func TestCleanupKeepsFirstRecordOrder(t *testing.T) {
+	rt, s, _ := newSession(false)
+	t0 := rt.now
+	s.OnMessage(5, protocol.Message{Kind: protocol.Echo, G: 0, M: "a", P: 3, K: 1}) // A's first record
+	rt.now = t0 + 2
+	s.OnMessage(4, protocol.Message{Kind: protocol.Init, G: 0, M: "b", P: 4, K: 1}) // B's first record
+	rt.now = t0 + 3
+	s.OnMessage(3, protocol.Message{Kind: protocol.Init, G: 0, M: "a", P: 3, K: 1}) // A's later record
+	rt.now = t0 + simtime.Local(s.maxAge()) + 1
+	s.Cleanup(rt.now) // A's echo decays; both inits survive
+	s.SetAnchor(rt.now)
+	want := []protocol.Message{
+		{Kind: protocol.Echo, G: 0, M: "b", P: 4, K: 1},
+		{Kind: protocol.Echo, G: 0, M: "a", P: 3, K: 1},
+	}
+	if len(rt.sent) != len(want) {
+		t.Fatalf("sent %v, want %v", rt.sent, want)
+	}
+	for i := range want {
+		if rt.sent[i] != want[i] {
+			t.Fatalf("sent %v, want %v", rt.sent, want)
+		}
+	}
+}

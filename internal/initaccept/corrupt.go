@@ -1,7 +1,6 @@
 package initaccept
 
 import (
-	"ssbyz/internal/msglog"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
 )
@@ -30,10 +29,13 @@ func (ia *Instance) InjectReady(m protocol.Value, t simtime.Local) {
 	ia.noteValue(m)
 }
 
-// InjectRecord installs a spurious reception record.
+// InjectRecord installs a spurious support, approve or ready reception
+// record; other kinds are ignored.
 func (ia *Instance) InjectRecord(kind protocol.MsgKind, m protocol.Value, sender protocol.NodeID, at simtime.Local) {
-	ia.noteValue(m)
-	ia.log.InjectRaw(msglog.Key{Kind: kind, G: ia.g, M: m}, sender, at)
+	vs := ia.noteValue(m)
+	if vs.window(kind) != nil {
+		ia.record(vs, kind, sender, at)
+	}
 }
 
 // InjectPending installs a phantom pending invocation.
@@ -43,4 +45,12 @@ func (ia *Instance) InjectPending(m protocol.Value, at simtime.Local) {
 }
 
 // LogLen reports the number of stored reception records (for tests).
-func (ia *Instance) LogLen() int { return ia.log.Len() }
+func (ia *Instance) LogLen() int {
+	n := 0
+	for _, vs := range ia.act {
+		for _, w := range vs.windows() {
+			n += w.Len()
+		}
+	}
+	return n
+}

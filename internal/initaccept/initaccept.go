@@ -19,6 +19,9 @@
 package initaccept
 
 import (
+	"cmp"
+	"slices"
+
 	"ssbyz/internal/msglog"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simtime"
@@ -43,7 +46,8 @@ type Instance struct {
 	g  protocol.NodeID
 	pp protocol.Params
 
-	log *msglog.Log
+	// seq stamps each reception window's first record (msglog.Window).
+	seq uint64
 
 	// iValues is the i_values[G,*] vector: candidate recording times.
 	iValues map[protocol.Value]simtime.Local
@@ -67,24 +71,43 @@ type Instance struct {
 	// used by a correct General to detect failed invocations (IG3).
 	lineL4, lineM4, lineN4 map[protocol.Value]simtime.Local
 
-	// actVals/actStates list the values Evaluate iterates (and their
-	// cached per-value state) in first-seen order (deterministic). They
-	// grow as values gain live state and are rebuilt on Cleanup/reset, so
-	// Evaluate does not re-derive the set from maps on every incoming
-	// message (the hot path, DESIGN.md §5).
-	actVals   []protocol.Value
-	actStates []*valState
-	vals      map[protocol.Value]*valState
+	// act lists the per-value states Evaluate iterates, in first-seen
+	// order (deterministic). It grows as values gain live state and is
+	// rebuilt on Cleanup/reset, so Evaluate does not re-derive the set from
+	// maps on every incoming message (the hot path, DESIGN.md §5).
+	act  []*valState
+	vals map[protocol.Value]*valState
 
 	onIAccept IAcceptFn
 }
 
-// valState caches one value's msglog key resolutions, so the per-message
-// block evaluation skips the Key-struct hash (which includes the value
-// string) on every count and record.
+// valState is one value's entry in the iteration list, holding the
+// reception windows of its (support|approve|ready, G, m) messages, so the
+// per-message block evaluation reaches its counts without hashing the
+// value string again.
 type valState struct {
-	inAct                      bool
-	hSupport, hApprove, hReady msglog.Handle
+	m                       protocol.Value
+	inAct                   bool
+	support, approve, ready msglog.Window
+}
+
+// window picks the reception window of a message kind; kinds outside
+// support, approve and ready have none.
+func (vs *valState) window(kind protocol.MsgKind) *msglog.Window {
+	switch kind {
+	case protocol.Support:
+		return &vs.support
+	case protocol.Approve:
+		return &vs.approve
+	case protocol.Ready:
+		return &vs.ready
+	}
+	return nil
+}
+
+// windows lists the value's three reception windows.
+func (vs *valState) windows() []*msglog.Window {
+	return []*msglog.Window{&vs.support, &vs.approve, &vs.ready}
 }
 
 // New creates the instance for General g at the node owning rt.
@@ -94,7 +117,6 @@ func New(rt protocol.Runtime, g protocol.NodeID, onIAccept IAcceptFn) *Instance 
 		rt:          rt,
 		g:           g,
 		pp:          pp,
-		log:         msglog.New(pp.Wrap),
 		iValues:     make(map[protocol.Value]simtime.Local),
 		lastGM:      make(map[protocol.Value]*updates),
 		ready:       make(map[protocol.Value]simtime.Local),
@@ -114,49 +136,62 @@ func New(rt protocol.Runtime, g protocol.NodeID, onIAccept IAcceptFn) *Instance 
 func (ia *Instance) noteValue(m protocol.Value) *valState {
 	vs, ok := ia.vals[m]
 	if !ok {
-		vs = &valState{
-			hSupport: ia.log.NewHandleSized(msglog.Key{Kind: protocol.Support, G: ia.g, M: m}, ia.pp.N),
-			hApprove: ia.log.NewHandleSized(msglog.Key{Kind: protocol.Approve, G: ia.g, M: m}, ia.pp.N),
-			hReady:   ia.log.NewHandleSized(msglog.Key{Kind: protocol.Ready, G: ia.g, M: m}, ia.pp.N),
-		}
+		vs = &valState{m: m}
 		ia.vals[m] = vs
 	}
 	if !vs.inAct {
 		vs.inAct = true
-		ia.actVals = append(ia.actVals, m)
-		ia.actStates = append(ia.actStates, vs)
+		ia.act = append(ia.act, vs)
 	}
 	return vs
 }
 
-// rebuildActive recomputes the live-value list from current state
-// (pending invocations, logged receptions, ready flags), keeping
-// first-seen order for survivors. Values that drop out lose their cached
-// state too (a later reappearance rebuilds it).
+// record logs sender's kind message for vs at local time at, presizing a
+// window for n senders on its first record.
+func (ia *Instance) record(vs *valState, kind protocol.MsgKind, sender protocol.NodeID, at simtime.Local) {
+	vs.window(kind).Record(sender, at, ia.pp.N, ia.pp.Wrap, &ia.seq)
+}
+
+// rebuildActive recomputes the live-value list from current state:
+// pending invocations and ready flags first, in their first-seen order,
+// then the values holding reception records, in the order of their oldest
+// surviving window's first record (msglog.FirstStamp), never the vals
+// map's order. Values that drop out lose their state too (a later
+// reappearance rebuilds it); none holds a record.
 func (ia *Instance) rebuildActive() {
-	old := ia.actVals
-	for _, vs := range ia.actStates {
+	for _, vs := range ia.act {
 		vs.inAct = false
 	}
-	ia.actVals = nil
-	ia.actStates = ia.actStates[:0]
-	for _, m := range old {
-		if _, ok := ia.pending[m]; ok {
-			ia.noteValue(m)
-			continue
-		}
-		if _, ok := ia.ready[m]; ok {
-			ia.noteValue(m)
+	live := ia.act[:0]
+	for _, vs := range ia.act {
+		_, pending := ia.pending[vs.m]
+		_, ready := ia.ready[vs.m]
+		if pending || ready {
+			vs.inAct = true
+			live = append(live, vs)
 		}
 	}
-	ia.log.ForEachKey(func(k msglog.Key) { ia.noteValue(k.M) })
 	// Pending/ready values not in the old list cannot exist (every path
-	// that adds one calls noteValue), so the rebuilt list is complete.
+	// that adds one calls noteValue), so the head of the list is complete.
+	head := len(live)
 	for m, vs := range ia.vals {
-		if !vs.inAct {
+		if vs.inAct {
+			continue
+		}
+		if _, ok := msglog.FirstStamp(vs.windows()); ok {
+			vs.inAct = true
+			live = append(live, vs)
+		} else {
 			delete(ia.vals, m)
 		}
 	}
+	slices.SortFunc(live[head:], func(a, b *valState) int {
+		fa, _ := msglog.FirstStamp(a.windows())
+		fb, _ := msglog.FirstStamp(b.windows())
+		return cmp.Compare(fa, fb)
+	})
+	clear(ia.act[len(live):])
+	ia.act = live
 }
 
 // General returns the General this instance tracks.
@@ -300,28 +335,21 @@ func (ia *Instance) OnMessage(from protocol.NodeID, m protocol.Message) {
 	if ia.ignored(m.M, now) {
 		return
 	}
-	vs := ia.noteValue(m.M)
-	switch m.Kind {
-	case protocol.Support:
-		ia.log.RecordVia(&vs.hSupport, from, now)
-	case protocol.Approve:
-		ia.log.RecordVia(&vs.hApprove, from, now)
-	case protocol.Ready:
-		ia.log.RecordVia(&vs.hReady, from, now)
-	}
+	ia.record(ia.noteValue(m.M), m.Kind, from, now)
 	ia.Evaluate(now)
 }
 
 // Evaluate runs all enabled lines to a fixed point at local time now. The
 // iteration set is the maintained live-value list (noteValue), so a quiet
 // re-evaluation allocates nothing, and each block hides its window
-// queries behind an O(1) record-count guard (msglog.LenVia): a threshold
-// of c distinct senders cannot hold with fewer than c records in the log.
+// queries behind an O(1) record-count guard (msglog.Window.Len): a
+// threshold of c distinct senders cannot hold with fewer than c records.
 func (ia *Instance) Evaluate(now simtime.Local) {
 	for iter := 0; iter < 8; iter++ {
 		changed := false
-		for i := 0; i < len(ia.actVals); i++ {
-			m, vs := ia.actVals[i], ia.actStates[i]
+		for i := 0; i < len(ia.act); i++ {
+			vs := ia.act[i]
+			m := vs.m
 			if ia.tryK(m, now) {
 				changed = true
 			}
@@ -392,11 +420,11 @@ func (ia *Instance) tryK(m protocol.Value, now simtime.Local) bool {
 //	L3. support from ≥ n−f distinct nodes in [τq−2d, τq]
 //	L4.   send (approve,G,m) to all; lastq(G,m) = τq
 func (ia *Instance) tryL(m protocol.Value, vs *valState, now simtime.Local) bool {
-	if ia.log.LenVia(&vs.hSupport) < ia.pp.ByzQuorum() {
+	if vs.support.Len() < ia.pp.ByzQuorum() {
 		return false // no support threshold can hold yet (L1 and L3 both need ≥ n−2f records)
 	}
 	changed := false
-	if tc, ok := ia.log.KthNewestVia(&vs.hSupport, ia.pp.ByzQuorum(), now); ok {
+	if tc, ok := vs.support.KthNewest(ia.pp.ByzQuorum(), now, ia.pp.Wrap); ok {
 		if alpha := ia.pp.Sub(now, tc); alpha >= 0 && alpha <= 4*ia.d() {
 			rec := ia.pp.Add(tc, -2*ia.d())
 			if cur, ok := ia.iValue(m, now); !ok || ia.pp.Sub(rec, cur) > 0 {
@@ -408,7 +436,7 @@ func (ia *Instance) tryL(m protocol.Value, vs *valState, now simtime.Local) bool
 			}
 		}
 	}
-	if ia.log.CountWithinVia(&vs.hSupport, 2*ia.d(), now) >= ia.pp.Quorum() {
+	if vs.support.CountWithin(2*ia.d(), now, ia.pp.Wrap) >= ia.pp.Quorum() {
 		if ia.canSend(protocol.Approve, m, now) {
 			ia.rt.Broadcast(protocol.Message{Kind: protocol.Approve, G: ia.g, M: m})
 			ia.markSent(protocol.Approve, m, now)
@@ -429,11 +457,11 @@ func (ia *Instance) tryL(m protocol.Value, vs *valState, now simtime.Local) bool
 //	M3. approve from ≥ n−f distinct nodes in [τq−3d, τq]
 //	M4.   send (ready,G,m) to all; lastq(G,m) = τq
 func (ia *Instance) tryM(m protocol.Value, vs *valState, now simtime.Local) bool {
-	if ia.log.LenVia(&vs.hApprove) < ia.pp.ByzQuorum() {
+	if vs.approve.Len() < ia.pp.ByzQuorum() {
 		return false // M1 and M3 both need ≥ n−2f approve records
 	}
 	changed := false
-	if ia.log.CountWithinVia(&vs.hApprove, 5*ia.d(), now) >= ia.pp.ByzQuorum() {
+	if vs.approve.CountWithin(5*ia.d(), now, ia.pp.Wrap) >= ia.pp.ByzQuorum() {
 		if at, ok := ia.ready[m]; !ok || at != now {
 			ia.ready[m] = now
 			changed = true
@@ -442,7 +470,7 @@ func (ia *Instance) tryM(m protocol.Value, vs *valState, now simtime.Local) bool
 			changed = true
 		}
 	}
-	if ia.log.CountWithinVia(&vs.hApprove, 3*ia.d(), now) >= ia.pp.Quorum() {
+	if vs.approve.CountWithin(3*ia.d(), now, ia.pp.Wrap) >= ia.pp.Quorum() {
 		if ia.canSend(protocol.Ready, m, now) {
 			ia.rt.Broadcast(protocol.Message{Kind: protocol.Ready, G: ia.g, M: m})
 			ia.markSent(protocol.Ready, m, now)
@@ -469,11 +497,11 @@ func (ia *Instance) tryN(m protocol.Value, vs *valState, now simtime.Local) bool
 	if !ia.readyDefined(m, now) {
 		return false
 	}
-	if ia.log.LenVia(&vs.hReady) < ia.pp.ByzQuorum() {
+	if vs.ready.Len() < ia.pp.ByzQuorum() {
 		return false // N1 and N3 both need ≥ n−2f ready records
 	}
 	changed := false
-	cnt := ia.log.CountWithinVia(&vs.hReady, ia.pp.DeltaRmv(), now)
+	cnt := vs.ready.CountWithin(ia.pp.DeltaRmv(), now, ia.pp.Wrap)
 	if cnt >= ia.pp.ByzQuorum() && ia.canSend(protocol.Ready, m, now) {
 		ia.rt.Broadcast(protocol.Message{Kind: protocol.Ready, G: ia.g, M: m})
 		ia.markSent(protocol.Ready, m, now)
@@ -491,7 +519,9 @@ func (ia *Instance) tryN(m protocol.Value, vs *valState, now simtime.Local) bool
 		}
 		// N4.
 		ia.iValues = make(map[protocol.Value]simtime.Local)
-		ia.log.RemoveMatching(func(k msglog.Key) bool { return k.M == m })
+		for _, w := range vs.windows() {
+			w.Clear()
+		}
 		ia.ignoreUntil[m] = ia.pp.Add(now, 3*ia.d())
 		ia.gm(m).touch(now)
 		ia.lastG.touch(now)
@@ -510,7 +540,11 @@ func (ia *Instance) tryN(m protocol.Value, vs *valState, now simtime.Local) bool
 
 // Cleanup applies the background decay rules.
 func (ia *Instance) Cleanup(now simtime.Local) {
-	ia.log.DecayOlderThan(ia.pp.DeltaRmv(), now)
+	for _, vs := range ia.act {
+		for _, w := range vs.windows() {
+			w.Decay(ia.pp.DeltaRmv(), now, ia.pp.Wrap)
+		}
+	}
 	ia.lastG.prune(now, ia.lastGExpiry()+2*ia.d(), ia.pp)
 	for m, u := range ia.lastGM {
 		u.prune(now, ia.lastGMExpiry()+2*ia.d(), ia.pp)
@@ -550,7 +584,7 @@ func (ia *Instance) Cleanup(now simtime.Local) {
 // (IA-4); clearing them here would let a faulty General immediately drive
 // a second wave.
 func (ia *Instance) ResetAcceptState() {
-	ia.log.Clear()
+	ia.clearRecords()
 	ia.iValues = make(map[protocol.Value]simtime.Local)
 	ia.ready = make(map[protocol.Value]simtime.Local)
 	ia.sent = make(map[sentKey]simtime.Local)
@@ -563,8 +597,17 @@ func (ia *Instance) ResetAcceptState() {
 // on itself before initiating ("the General removes from its memory all
 // previously received messages associated with any previous invocation").
 func (ia *Instance) ClearMessages() {
-	ia.log.Clear()
+	ia.clearRecords()
 	ia.rebuildActive()
+}
+
+// clearRecords drops every reception record.
+func (ia *Instance) clearRecords() {
+	for _, vs := range ia.act {
+		for _, w := range vs.windows() {
+			w.Clear()
+		}
+	}
 }
 
 // LineTimes reports when lines L4, M4, N4 last completed for value m, for

@@ -425,3 +425,36 @@ func TestUpdatesPrune(t *testing.T) {
 		t.Errorf("prune kept %v, want [100]", u.times)
 	}
 }
+
+// TestCleanupKeepsFirstRecordOrder pins Evaluate's order after a Cleanup:
+// values kept alive by records are evaluated in the order their surviving
+// records were first taken, not in the order the values were first seen.
+// Value a is seen first, but the support that made it first decays; its
+// approves were recorded after b's supports, so b's approve goes out
+// before a's ready.
+func TestCleanupKeepsFirstRecordOrder(t *testing.T) {
+	rt, ia, _ := newFake()
+	t0 := rt.now
+	rt.now = t0 + simtime.Local(rt.pp.DeltaRmv()) + 1
+	ia.InjectRecord(protocol.Support, "a", 2, t0) // a's first record
+	for s := protocol.NodeID(2); s <= 6; s++ {
+		ia.InjectRecord(protocol.Support, "b", s, rt.now-2) // b's first records
+	}
+	for s := protocol.NodeID(2); s <= 6; s++ {
+		ia.InjectRecord(protocol.Approve, "a", s, rt.now-1) // a's later records
+	}
+	ia.Cleanup(rt.now) // a's support decays
+	ia.Evaluate(rt.now)
+	want := []protocol.Message{
+		{Kind: protocol.Approve, G: 0, M: "b"},
+		{Kind: protocol.Ready, G: 0, M: "a"},
+	}
+	if len(rt.sent) != len(want) {
+		t.Fatalf("sent %v, want %v", rt.sent, want)
+	}
+	for i := range want {
+		if rt.sent[i] != want[i] {
+			t.Fatalf("sent %v, want %v", rt.sent, want)
+		}
+	}
+}

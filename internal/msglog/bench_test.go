@@ -7,60 +7,61 @@ import (
 	"ssbyz/internal/simtime"
 )
 
-// populate fills a log with senders×waves records for one key.
-func populate(l *Log, senders, waves int) {
-	for w := 0; w < waves; w++ {
+// populate fills a window with senders×waves records.
+func populate(w *Window, senders, waves int, wrap simtime.Duration) {
+	for r := 0; r < waves; r++ {
 		for s := 0; s < senders; s++ {
-			l.Record(supKey, protocol.NodeID(s), simtime.Local(w*1000+s))
+			w.rec(protocol.NodeID(s), simtime.Local(r*1000+s), wrap)
 		}
 	}
 }
 
-func BenchmarkMsglogRecord(b *testing.B) {
-	l := New(0)
+func BenchmarkWindowRecord(b *testing.B) {
+	var w Window
+	var seq uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Record(supKey, protocol.NodeID(i%31), simtime.Local(i))
+		w.Record(protocol.NodeID(i%31), simtime.Local(i), 31, 0, &seq)
 	}
 }
 
-func BenchmarkMsglogCountWithin(b *testing.B) {
-	l := New(0)
-	populate(l, 31, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.CountWithin(supKey, 2000, 4000)
-	}
-}
-
-func BenchmarkMsglogKthNewest(b *testing.B) {
-	l := New(0)
-	populate(l, 31, 4)
+func BenchmarkWindowCountWithin(b *testing.B) {
+	var w Window
+	populate(&w, 31, 4, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.KthNewest(supKey, 11, 4000)
+		w.CountWithin(2000, 4000, 0)
 	}
 }
 
-func BenchmarkMsglogCountWithinWrapped(b *testing.B) {
-	l := New(1 << 30)
-	populate(l, 31, 4)
+func BenchmarkWindowKthNewest(b *testing.B) {
+	var w Window
+	populate(&w, 31, 4, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.CountWithin(supKey, 2000, 4000)
+		w.KthNewest(11, 4000, 0)
 	}
 }
 
-func BenchmarkMsglogDecay(b *testing.B) {
+func BenchmarkWindowCountWithinWrapped(b *testing.B) {
+	var w Window
+	populate(&w, 31, 4, 1<<30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.CountWithin(2000, 4000, 1<<30)
+	}
+}
+
+func BenchmarkWindowDecay(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		l := New(0)
-		populate(l, 31, 8)
+		var w Window
+		populate(&w, 31, 8, 0)
 		b.StartTimer()
-		l.DecayOlderThan(3000, 8000)
+		w.Decay(3000, 8000, 0)
 	}
 }

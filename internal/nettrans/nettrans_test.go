@@ -8,6 +8,7 @@ import (
 	"ssbyz/internal/check"
 	"ssbyz/internal/clock"
 	"ssbyz/internal/core"
+	"ssbyz/internal/hostlock"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simnet"
 	"ssbyz/internal/simtime"
@@ -26,10 +27,15 @@ func liveParams(n int) protocol.Params {
 
 // runAgreement runs one agreement on a fresh cluster of the given
 // transport and feeds the collected trace through the full property
-// battery: the round trip the subsystem exists for.
+// battery: the round trip the subsystem exists for. It runs under the host
+// lock, which keeps CPU-bound test binaries off the cores meanwhile: a
+// saturated host delays one node's read of the Initiator past the Supports
+// of the others, and the battery then reports the Timeliness-2 lower-bound
+// finding far more often than on a quiet host.
 func runAgreement(t *testing.T, transport string, n int, conditions []simnet.Condition,
 	faulty map[protocol.NodeID]protocol.Node) (*Cluster, Stats) {
 	t.Helper()
+	hostlock.Hold(t)
 	pp := liveParams(n)
 	c, err := NewCluster(ClusterConfig{
 		Params: pp, Transport: transport, Conditions: conditions, Faulty: faulty,

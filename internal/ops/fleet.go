@@ -40,7 +40,8 @@ type Fleet struct {
 // running executable, else PATH), reserves one loopback port per
 // committee slot on the given transport, and writes the manifest with
 // its epoch epochLead from now. No daemon starts before Spawn; Close
-// kills whatever is still running and removes the manifest.
+// kills whatever is still running and removes the manifest. On Linux a
+// daemon also gets SIGTERM if the orchestrator dies without closing.
 func NewFleet(nodeBin string, pp protocol.Params, transport string, tick time.Duration) (*Fleet, error) {
 	bin, err := resolveNodeBin(nodeBin)
 	if err != nil {
@@ -122,6 +123,7 @@ func (fl *Fleet) Spawn(ids ...int) error {
 			args = append(args, "-peer-incarnations", strings.Join(peerIncs, ","))
 		}
 		cmd := exec.Command(fl.nodeBin, args...)
+		dieWithParent(cmd)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {

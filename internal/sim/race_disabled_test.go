@@ -1,5 +1,5 @@
 //go:build !race
 
-package msglog
+package sim
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package msglog
+package sim
 
 // raceEnabled reports that this build runs under the race detector, whose
 // instrumentation makes allocation counts meaningless.
